@@ -75,31 +75,43 @@ _NP_M2 = np.uint64(_M2)
 _NP_30 = np.uint64(30)
 _NP_27 = np.uint64(27)
 _NP_31 = np.uint64(31)
-_NP_1 = np.uint64(1)
+
+
+def _mix64_inplace(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on the uint64 array ``h``, in place; ``tmp`` is
+    scratch of the same shape. No temporaries are allocated."""
+    np.right_shift(h, _NP_30, out=tmp)
+    h ^= tmp
+    h *= _NP_M1
+    np.right_shift(h, _NP_27, out=tmp)
+    h ^= tmp
+    h *= _NP_M2
+    np.right_shift(h, _NP_31, out=tmp)
+    h ^= tmp
+    return h
 
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> _NP_30
-    x *= _NP_M1
-    x ^= x >> _NP_27
-    x *= _NP_M2
-    x ^= x >> _NP_31
-    return x
+    h = x.astype(np.uint64, copy=True)
+    return _mix64_inplace(h, np.empty_like(h))
 
 
 def chain64_np(key, cols: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized chain64. ``key`` is an int or a broadcastable uint64 array;
-    each element of ``cols`` is one coordinate column."""
+    each element of ``cols`` is one coordinate column. The result is a fresh
+    array of the broadcast shape; ``key`` and ``cols`` are only read."""
+    if not len(cols):
+        raise ValueError("chain64_np needs at least one column")
     if isinstance(key, (int, np.integer)):
         key = np.uint64(int(key) & MASK64)
-    h = None
-    for c in cols:
-        c = np.asarray(c).astype(np.uint64, copy=False)
-        v = (key if h is None else h) ^ (c + _NP_1)
-        h = mix64_np(v)
-    if h is None:
-        raise ValueError("chain64_np needs at least one column")
+    shape = np.broadcast(key, *cols).shape
+    h = np.empty(shape, dtype=np.uint64)
+    tmp = np.empty(shape, dtype=np.uint64)
+    for i, c in enumerate(cols):
+        # c + 1 wraps mod 2^64 whether c is signed or unsigned
+        np.add(c, 1, out=tmp, casting="unsafe")
+        np.bitwise_xor(key if i == 0 else h, tmp, out=h)
+        _mix64_inplace(h, tmp)
     return h
 
 

@@ -17,8 +17,9 @@ trial) runs one of four modes:
 Pathfinder trials in supercritical mode use the standard stopping rule for
 j >= 2 and the loose-path rule for j = 1; subcritical trials use the same
 formulas with |eps|. Oracle trials carry a node budget and set the censored
-flag instead of failing. Per-trial errors are also recorded as censored rows
-rather than aborting the sweep.
+flag instead of failing. A trial that raises is recorded as a censored row
+with stop_reason "error", and its exception is printed to stderr, rather than
+aborting the sweep.
 
 Trial seeds are chain-hashed from (master seed, n index, eps index, trial
 index), so streams are reproducible and injective within a sweep. Output is
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -180,18 +182,20 @@ def _run_trial(args) -> TrialRecord:
             return TrialRecord(**base, L=tr.max_ell, censored=tr.stop_reason == "budget",
                                queries=tr.queries, new_starts=tr.new_starts, edges=edges,
                                stop_reason=tr.stop_reason, ms=tr.ms)
+        t0 = time.perf_counter()
         if spec.mode == "oracle_exact":
             H = generate_explicit(n, spec.k, p, seed=seed)
         else:
             H = sample_explicit(n, spec.k, p, seed=seed)
-        t0 = time.perf_counter()
         res = longest_path_exact(H, spec.j, node_budget=spec.node_budget)
         ms = (time.perf_counter() - t0) * 1000.0
         return TrialRecord(**base, L=res.length, censored=res.censored, queries=0,
                            new_starts=0, edges=H.edge_count, stop_reason="n/a", ms=ms)
-    except Exception:
+    except Exception as exc:  # one failed trial must not abort the sweep
+        print(f"trial ({n}, {eps}, {trial_index}): {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
-                           edges=-1, stop_reason="n/a", ms=0.0)
+                           edges=-1, stop_reason="error", ms=0.0)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[TrialRecord]:

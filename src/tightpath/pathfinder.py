@@ -23,7 +23,14 @@ edge depends on that block's internal order at that moment.
 
 Two vectorized scan kernels cover the regimes the experiments need
 (k-j = 1, and j = 1 with k = 3); both are observationally identical to the
-generic scan, which carries the invariant checks and full query traces.
+generic scan, which carries the invariant checks and full query traces. A
+kernel scan builds every candidate of J at once and works in this order: the
+Q4 mask, then the edge coins of all candidates, then the priority hashes, but
+only when Q3 needs them (a resumed scan) or a live candidate succeeded. A
+first scan with no live success would query every live candidate in turn, so
+its query count is the number of live candidates whatever their order. The
+kernel reports the queries the scalar scan would make, in the same order and
+with the same cutoffs, so events, counts and traces are identical.
 """
 
 from __future__ import annotations
@@ -222,6 +229,8 @@ class RunTrace:
     def read_jsonl(cls, path) -> "RunTrace":
         with open(path) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
+        if not lines:
+            raise ValueError("empty trace file")
         head, tail = lines[0], lines[-1]
         if head.get("kind") != "header" or head.get("schema") != cls.SCHEMA:
             raise ValueError("unrecognized trace header")
@@ -266,6 +275,7 @@ class PathFinder:
         trace_level: str = "events",
         audit: bool = False,
     ):
+        self._start = time.perf_counter()  # RunTrace.ms covers construction too
         if trace_level not in TRACE_LEVELS:
             raise ValueError(f"trace_level must be one of {TRACE_LEVELS}")
         if mode not in ("auto", "generic", "checked"):
@@ -441,69 +451,70 @@ class PathFinder:
         return cols
 
     def _pair_cols(self, rec: ActiveRecord, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        # x < y, so sorted({x, u, y}) is (min(x, u), u clipped to [x, y], max(y, u))
         u = rec.jset[0]
-        c0 = np.where(x < u, x, u)
-        c2 = np.where(y > u, y, u)
-        c1 = (x + y + u) - c0 - c2
-        return [c0, c1, c2]
+        return [np.minimum(x, u), np.clip(u, x, y), np.maximum(y, u)]
 
     @staticmethod
     def _row(cols: Sequence[np.ndarray], i: int) -> tuple:
         return tuple(int(col[i]) for col in cols)
 
     def _cursor_alive(self, rec: ActiveRecord, h: np.ndarray, cols) -> np.ndarray:
-        alive = np.ones(len(h), dtype=bool)
-        if rec.cursor is not None:
-            ch, crow = rec.cursor
-            alive = h > np.uint64(ch)
-            for i in np.flatnonzero(h == np.uint64(ch)):
-                if self._row(cols, i) > crow:
-                    alive[i] = True
+        ch, crow = rec.cursor
+        alive = h > np.uint64(ch)
+        for i in np.flatnonzero(h == np.uint64(ch)):
+            if self._row(cols, i) > crow:
+                alive[i] = True
         return alive
 
     def _scan_kernel(self, rec: ActiveRecord):
+        # Work order: the Q4 mask, then the coins, then the priorities only
+        # when Q3 needs them (a resumed scan) or a live candidate succeeded.
+        # Hashing has no side effects, so the order changes no outcome; and a
+        # first scan without a success queries every live candidate, so its
+        # query count needs no priorities at all.
+        xs = np.flatnonzero(~self.in_path).astype(np.int64)
         if self.kernel == "vertex":
-            xs = np.flatnonzero(~self.in_path).astype(np.int64)
             if xs.size == 0:
                 return ("exhausted",)
             cols = self._vertex_cols(rec, xs)
-            make_x = lambda i: (int(xs[i]),)
-        else:
-            xs = np.flatnonzero(~self.in_path).astype(np.int64)
-            if xs.size < 2:
-                return ("exhausted",)
-            i1, i2 = np.triu_indices(xs.size, 1)
-            x, y = xs[i1], xs[i2]
-            cols = self._pair_cols(rec, x, y)
-            make_x = lambda i: (int(x[i]), int(y[i]))
-        h = chain64_np(self.sigk_key, cols)
-        alive = self._cursor_alive(rec, h, cols)
-
-        if self.kernel == "vertex":
+            alive = np.ones(xs.size, dtype=bool)
             for dd in range(self.j):
                 partners = self.explored_partners.get(rec.jset[:dd] + rec.jset[dd + 1:])
                 if partners:
                     alive &= ~np.isin(xs, np.asarray(partners, dtype=np.int64))
+            make_x = lambda i: (int(xs[i]),)
         else:
-            dead = self.explored_vert
-            alive &= ~dead[x] & ~dead[y]
+            if xs.size < 2:
+                return ("exhausted",)
+            i1, i2 = np.triu_indices(xs.size, 1)
+            dead = self.explored_vert[xs]
+            alive = ~(dead[i1] | dead[i2])
+            x, y = xs[i1], xs[i2]
+            cols = self._pair_cols(rec, x, y)
+            make_x = lambda i: (int(x[i]), int(y[i]))
+        h = None
+        if rec.cursor is not None:
+            h = chain64_np(self.sigk_key, cols)
+            alive &= self._cursor_alive(rec, h, cols)
 
         if not alive.any():
             return ("exhausted",)
         t_stop = self._t_stop()
-        coins = self.H.bulk_query(cols)
-        succ = alive & coins
+        succ = alive & self.H.bulk_query(cols)
         if not succ.any():
-            q = int(alive.sum())
+            q = int(np.count_nonzero(alive))
             if self.t + q >= t_stop:
                 self.t = int(t_stop)
                 return ("stop", self.monitor.time_reason(self.t))
             self.t += q
             return ("exhausted",)
+        if h is None:
+            h = chain64_np(self.sigk_key, cols)
         hmin = h[succ].min()
         tied = np.flatnonzero(succ & (h == hmin))
         win = min(tied, key=lambda i: self._row(cols, i))
-        q = int((alive & (h < hmin)).sum()) + 1
+        q = int(np.count_nonzero(alive & (h < hmin))) + 1
         wrow = self._row(cols, win)
         for i in np.flatnonzero(alive & (h == hmin)):
             if i != win and self._row(cols, i) < wrow:
@@ -607,7 +618,6 @@ class PathFinder:
     def run(self) -> RunTrace:
         if self.stop_reason is not None:
             raise RuntimeError("run already completed")
-        start = time.perf_counter()
         reason = None
         while reason is None:
             if not self.stack:
@@ -618,7 +628,7 @@ class PathFinder:
                 continue
             reason = self._step()
         self.stop_reason = reason
-        self.ms = (time.perf_counter() - start) * 1000.0
+        self.ms = (time.perf_counter() - self._start) * 1000.0
         self._emit({"event": "stop", "t": self.t, "reason": reason,
                     "ell": self.ell, "max_ell": self.max_ell})
         return self._build_trace()

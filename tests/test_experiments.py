@@ -2,9 +2,11 @@
 
 import csv
 import math
+import time
 
 import pytest
 
+from tightpath import experiments
 from tightpath.combinatorics import (
     LOOSE_LOWER,
     SUBCRITICAL_LOWER,
@@ -138,6 +140,31 @@ def test_unresolvable_p_yields_a_censored_row():
         assert rec.censored
         assert math.isnan(rec.p)
         assert (rec.L, rec.edges, rec.stop_reason) == (0, -1, "n/a")
+
+
+def test_trial_errors_are_censored_and_reported(monkeypatch, capsys):
+    def fault(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(experiments, "run_pathfinder", fault)
+    recs = run_sweep(small_spec(trials=2))
+    assert [(r.censored, r.stop_reason, r.L) for r in recs] == [(True, "error", 0)] * 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"trial (24, 0.3, {i}): RuntimeError: engine fault" for i in range(2)]
+    assert math.isnan(aggregate(recs)[0]["L_mean"])
+
+
+def test_oracle_row_time_includes_the_instance(monkeypatch):
+    sample = experiments.sample_explicit
+
+    def slow_sample(*args, **kwargs):
+        time.sleep(0.05)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_explicit", slow_sample)
+    spec = small_spec(n_values=(20,), eps_values=(-0.4,), trials=1,
+                      mode="oracle_enumerate_subcritical")
+    assert run_sweep(spec)[0].ms >= 50
 
 
 def test_node_budget_censors_oracle_trials():

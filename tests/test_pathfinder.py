@@ -1,6 +1,7 @@
 """Search engine: scan order, state surgery, traces, stopping integration."""
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -251,6 +252,37 @@ def test_pair_kernel_matches_generic_scan():
         assert summary_no_ms(a) == summary_no_ms(b)
 
 
+def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch):
+    """Budget and S2 cutoffs at every clock value 1..queries, so cutoffs land
+    inside first scans (which hash no priorities unless a candidate succeeds)
+    and inside resumed scans (which hash them for the Q3 cursor)."""
+    seen = set()
+    scan = PathFinder._scan_kernel
+
+    def spy(self, rec):
+        first, t = rec.cursor is None, self.t
+        res = scan(self, rec)
+        seen.add((self.kernel, first, res[0], self.t > t))
+        return res
+
+    monkeypatch.setattr(PathFinder, "_scan_kernel", spy)
+    for n, k, j, p in [(11, 3, 1, 0.05), (9, 3, 2, 0.2), (12, 2, 1, 0.15)]:
+        for seed in range(3):
+            H = generate_explicit(n, k, p, seed=seed)
+            total = run(H, k, j, seed=seed, mode="generic").queries
+            for b in range(1, total + 1):
+                for cfg in (StoppingConfig(enabled=frozenset(), budget=b),
+                            StoppingConfig(T0=b, enabled=frozenset({"S2"}))):
+                    a = run(H, k, j, seed=seed, stopping=cfg)
+                    g = run(H, k, j, seed=seed, stopping=cfg, mode="generic")
+                    assert a.events == g.events
+                    assert summary_no_ms(a) == summary_no_ms(g)
+    for kernel in ("pair", "vertex"):
+        for first in (True, False):
+            for outcome in ("exhausted", "success", "stop"):
+                assert (kernel, first, outcome, True) in seen
+
+
 def test_audit_mode_agrees_with_scan_order():
     for seed in range(3):
         H = generate_explicit(10, 3, 0.15, seed=seed)
@@ -326,6 +358,17 @@ def test_unbounded_runs_to_exhaustion():
     assert tr.stop_reason == "exhausted"
 
 
+def test_run_time_includes_construction(monkeypatch):
+    build = _NeutralStream.__init__
+
+    def slow_build(self, *args):
+        time.sleep(0.05)
+        build(self, *args)
+
+    monkeypatch.setattr(_NeutralStream, "__init__", slow_build)
+    assert run(empty_H(6), 3, 2, seed=0).ms >= 50
+
+
 def test_run_rejects_reentry_and_bad_arguments():
     finder = PathFinder(empty_H(6), j=2)
     finder.run()
@@ -392,6 +435,9 @@ def test_read_jsonl_rejects_malformed_files(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"kind": "nonsense"}\n{"kind": "summary"}\n')
     with pytest.raises(ValueError):
+        RunTrace.read_jsonl(p)
+    p.write_text("")
+    with pytest.raises(ValueError, match="empty trace file"):
         RunTrace.read_jsonl(p)
     H = generate_explicit(8, 3, 0.2, seed=0)
     tr = run(H, 3, 2, seed=0)

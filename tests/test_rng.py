@@ -40,6 +40,25 @@ def test_chain64_scalar_matches_numpy(key, values):
     assert chain64(key, values) == int(chain64_np(key, cols)[0])
 
 
+def test_chain64_np_contract():
+    """Multi-row int64 columns, a 2-D broadcast uint64 key (as the Monte-Carlo
+    estimator passes), and inputs that come back unmodified."""
+    rng = np.random.default_rng(3)
+    cols = [rng.integers(0, 10**6, size=40) for _ in range(3)]
+    keys = np.array([[derive_key(s, "test")] for s in range(4)], dtype=np.uint64)
+    cols_before, keys_before = [c.copy() for c in cols], keys.copy()
+    rows = [tuple(int(v) for v in row) for row in zip(*cols)]
+    h = chain64_np(int(keys[0, 0]), cols)
+    assert h.dtype == np.uint64 and h.shape == (40,)
+    assert [int(v) for v in h] == [chain64(int(keys[0, 0]), row) for row in rows]
+    hk = chain64_np(keys, cols)
+    assert hk.shape == (4, 40)
+    for r in range(4):
+        assert [int(v) for v in hk[r]] == [chain64(int(keys[r, 0]), row) for row in rows]
+    assert all((c == b).all() for c, b in zip(cols, cols_before))
+    assert (keys == keys_before).all()
+
+
 def test_chain64_is_order_sensitive():
     key = derive_key(0, "test")
     assert chain64(key, (1, 2, 3)) != chain64(key, (3, 2, 1))
