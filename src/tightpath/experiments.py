@@ -168,6 +168,7 @@ def _run_trial(args) -> TrialRecord:
     if math.isnan(p):
         return TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
                            edges=-1, stop_reason="n/a", ms=0.0)
+    t0 = time.perf_counter()  # every mode's ms includes building its instance
     try:
         if spec.mode in ("pathfinder_lazy", "pathfinder_explicit"):
             if spec.mode == "pathfinder_lazy":
@@ -179,23 +180,22 @@ def _run_trial(args) -> TrialRecord:
             tr = run_pathfinder(H, spec.k, spec.j, seed=seed,
                                 stopping=_stopping_for(spec, n, eps),
                                 trace_level="summary")
-            return TrialRecord(**base, L=tr.max_ell, censored=tr.stop_reason == "budget",
-                               queries=tr.queries, new_starts=tr.new_starts, edges=edges,
-                               stop_reason=tr.stop_reason, ms=tr.ms)
-        t0 = time.perf_counter()
-        if spec.mode == "oracle_exact":
-            H = generate_explicit(n, spec.k, p, seed=seed)
+            out = dict(L=tr.max_ell, censored=tr.stop_reason == "budget", queries=tr.queries,
+                       new_starts=tr.new_starts, edges=edges, stop_reason=tr.stop_reason)
         else:
-            H = sample_explicit(n, spec.k, p, seed=seed)
-        res = longest_path_exact(H, spec.j, node_budget=spec.node_budget)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return TrialRecord(**base, L=res.length, censored=res.censored, queries=0,
-                           new_starts=0, edges=H.edge_count, stop_reason="n/a", ms=ms)
+            if spec.mode == "oracle_exact":
+                H = generate_explicit(n, spec.k, p, seed=seed)
+            else:
+                H = sample_explicit(n, spec.k, p, seed=seed)
+            res = longest_path_exact(H, spec.j, node_budget=spec.node_budget)
+            out = dict(L=res.length, censored=res.censored, queries=0, new_starts=0,
+                       edges=H.edge_count, stop_reason="n/a")
     except Exception as exc:  # one failed trial must not abort the sweep
         print(f"trial ({n}, {eps}, {trial_index}): {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
                            edges=-1, stop_reason="error", ms=0.0)
+    return TrialRecord(**base, **out, ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[TrialRecord]:

@@ -72,6 +72,17 @@ def unrank_colex(ranks: np.ndarray, m: int, n: int, tables=None) -> np.ndarray:
     return cols
 
 
+def pack_rows(cols: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Base-n int64 key of each row of the vertex columns ``cols`` over [0, n)."""
+    if n ** len(cols) > 2**63:
+        raise OverflowError(f"{len(cols)} columns over [0, {n}) do not pack into int64")
+    key = cols[0].astype(np.int64, copy=True)
+    for c in cols[1:]:
+        key *= n
+        key += c
+    return key
+
+
 class ExplicitHypergraph:
     """Immutable stored k-uniform hypergraph on [0, n)."""
 
@@ -102,13 +113,6 @@ class ExplicitHypergraph:
             return np.empty((0, self.k), dtype=np.int64)
         return np.array(sorted(self.edges), dtype=np.int64)
 
-    def _pack_rows(self, cols: Sequence[np.ndarray]) -> np.ndarray:
-        key = cols[0].astype(np.int64, copy=True)
-        for c in cols[1:]:
-            key *= self.n
-            key += c
-        return key
-
     def bulk_query(self, cols: Sequence[np.ndarray]) -> np.ndarray:
         """Membership mask for many canonical k-sets given as columns."""
         if self.n**self.k >= 2**62:
@@ -116,9 +120,9 @@ class ExplicitHypergraph:
             return np.array([tuple(int(v) for v in K) in self.edges for K in ks])
         if self._packed is None:
             arr = self.edge_array()
-            packed = self._pack_rows([arr[:, i] for i in range(self.k)]) if len(arr) else np.empty(0, np.int64)
+            packed = pack_rows([arr[:, i] for i in range(self.k)], self.n) if len(arr) else np.empty(0, np.int64)
             self._packed = np.sort(packed)
-        keys = self._pack_rows([np.asarray(c) for c in cols])
+        keys = pack_rows([np.asarray(c) for c in cols], self.n)
         idx = np.searchsorted(self._packed, keys)
         idx = np.minimum(idx, max(len(self._packed) - 1, 0))
         if len(self._packed) == 0:

@@ -21,16 +21,17 @@ m+1..m+r+1 and extends exactly when the path again has m edges. Extending
 reorders the donor block so the extender's C0 occupies its tail; no existing
 edge depends on that block's internal order at that moment.
 
-Two vectorized scan kernels cover the regimes the experiments need
-(k-j = 1, and j = 1 with k = 3); both are observationally identical to the
-generic scan, which carries the invariant checks and full query traces. A
-kernel scan builds every candidate of J at once and works in this order: the
-Q4 mask, then the edge coins of all candidates, then the priority hashes, but
-only when Q3 needs them (a resumed scan) or a live candidate succeeded. A
-first scan with no live success would query every live candidate in turn, so
-its query count is the number of live candidates whatever their order. The
-kernel reports the queries the scalar scan would make, in the same order and
-with the same cutoffs, so events, counts and traces are identical.
+One vectorized scan serves every (k, j), observationally identical to the
+generic scan, which carries the invariant checks and full query traces. It
+builds every candidate of J at once, as (k-j)-subsets of the free vertices
+merged with J into sorted K columns, and works in this order: Q4 (from an
+index of explored j-sets by their proper subsets), then the edge coins of all
+candidates, then the priority hashes, but only when Q3 needs them (a resumed
+scan) or a live candidate succeeded. A first scan with no live success would
+query every live candidate in turn, so its query count is the number of live
+candidates whatever their order. The scan reports the queries the scalar scan
+would make, in the same order and with the same cutoffs, so events, counts
+and traces are identical.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 
 from ._rng import chain64, chain64_np, derive_key, mix64
 from .combinatorics import JTightPath, StructuralParams, structural_params
+from .hypergraph import pack_rows
 from .monitor import EXHAUSTED, Monitor, StoppingConfig
 
 TRACE_LEVELS = ("summary", "events", "full")
@@ -83,7 +85,7 @@ class ActiveRecord:
         self.batch = batch
         self.order = None  # generic engine: [(hash, K, X)] in query order
         self.idx = 0
-        self.cursor = None  # kernels: (hash, K row) of the last consumed candidate
+        self.cursor = None  # vector scan: (hash, K row) of the last consumed candidate
         self.queried = None  # checked mode: X tuples actually queried
 
 
@@ -164,6 +166,21 @@ class _NeutralStream:
             self.limit = min(self.limit * 4, self.total)
             self._ptr = 0
             self._rows = self._build(self.limit)
+
+
+def subset_cols(xs: np.ndarray, d: int) -> list[np.ndarray]:
+    """The d-subsets of the increasing array xs as d columns, rows in
+    lexicographic order."""
+    cols = [xs]
+    m = xs.size
+    for r in range(2, d + 1):
+        # An r-subset is xs[b] followed by an (r-1)-subset of xs[b+1:], and
+        # those form the last C(m-1-b, r-1) rows of the (r-1)-subset table.
+        lens = np.array([math.comb(q, r - 1) for q in range(m - 1, r - 2, -1)], dtype=np.int64)
+        ends = np.cumsum(lens)
+        rows = np.arange(int(lens.sum())) + np.repeat(cols[0].size - ends, lens)
+        cols = [np.repeat(xs[: lens.size], lens)] + [c[rows] for c in cols]
+    return cols
 
 
 @dataclass
@@ -258,8 +275,8 @@ class RunTrace:
 class PathFinder:
     """One depth-first run over a hypergraph backend.
 
-    mode: "auto" uses a vectorized kernel when the shape allows, else the
-    generic scan; "generic" forces the scalar scan; "checked" additionally
+    mode: "auto" uses the vectorized scan, or the generic scan when
+    trace_level is "full"; "generic" forces the scalar scan; "checked" additionally
     asserts state invariants after every event and enables replayable
     bookkeeping. audit=True (implies checked) re-derives the full allowed
     family before every query and asserts the scan agrees.
@@ -290,15 +307,6 @@ class PathFinder:
         self.audit = audit
         self.checked = audit or mode == "checked"
         self.mode = "checked" if self.checked else mode
-        if self.mode == "auto" and trace_level != "full":
-            if self.d == 1:
-                self.kernel = "vertex"
-            elif self.j == 1 and self.d == 2:
-                self.kernel = "pair"
-            else:
-                self.kernel = None
-        else:
-            self.kernel = None
         self.trace_level = trace_level
         self.events: list = []
 
@@ -320,8 +328,8 @@ class PathFinder:
         self.stack: list[ActiveRecord] = []
         self.discovered: set[tuple] = set()
         self.explored: set[tuple] = set()
-        self.explored_partners: dict[tuple, list[int]] = {}
-        self.explored_vert = np.zeros(self.n, dtype=bool) if j == 1 else None
+        # T -> [E \ T] over explored j-sets E and their subsets T with |E \ T| <= k-j
+        self.explored_by: dict[tuple, list[tuple]] = {}
         self.queried_ksets: set = set() if self.checked else None
 
         self.stream = _NeutralStream(self.n, j, self.sigj_key, self.discovered)
@@ -396,14 +404,18 @@ class PathFinder:
     def _q4_dead(self, K: tuple) -> bool:
         return any(sub in self.explored for sub in combinations(K, self.j))
 
-    def _materialize_order(self, rec: ActiveRecord) -> None:
+    def _scalar_order(self, rec: ActiveRecord) -> list[tuple]:
+        """[(priority, K, X)] over every X disjoint from the path, in query order."""
         allowed = [v for v in range(self.n) if v not in self.path_vertex_set]
         ent = []
         for X in combinations(allowed, self.d):
             K = tuple(sorted(rec.jset + X))
             ent.append((chain64(self.sigk_key, K), K, X))
         ent.sort()
-        rec.order = ent
+        return ent
+
+    def _materialize_order(self, rec: ActiveRecord) -> None:
+        rec.order = self._scalar_order(rec)
         rec.idx = 0
         if self.checked:
             rec.queried = set()
@@ -440,20 +452,17 @@ class PathFinder:
         fam = allowed_candidates(self)
         assert fam and fam[0] == X, f"scan order diverged: {X} vs {fam[:1]}"
 
-    def _vertex_cols(self, rec: ActiveRecord, xs: np.ndarray) -> list[np.ndarray]:
-        jarr = np.asarray(rec.jset, dtype=np.int64)
-        pos = np.searchsorted(jarr, xs)
-        cols = []
-        for c in range(self.k):
-            below = jarr[c] if c < self.j else 0
-            above = jarr[c - 1] if c >= 1 else 0
-            cols.append(np.where(pos > c, below, np.where(pos == c, xs, above)))
-        return cols
-
-    def _pair_cols(self, rec: ActiveRecord, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        # x < y, so sorted({x, u, y}) is (min(x, u), u clipped to [x, y], max(y, u))
-        u = rec.jset[0]
-        return [np.minimum(x, u), np.clip(u, x, y), np.maximum(y, u)]
+    def _q4_mask(self, J: tuple, xcols: list[np.ndarray]) -> np.ndarray:
+        """Q4 for completions of 2 or more vertices: False where X holds an
+        i-set S with T u S explored for some (j-i)-subset T of J."""
+        alive = np.ones(xcols[0].size, dtype=bool)
+        for i in range(2, min(self.j, self.d) + 1):
+            found = [S for T in combinations(J, self.j - i) for S in self.explored_by.get(T, ())]
+            if found:
+                keys = pack_rows(np.array(found, dtype=np.int64).T, self.n)
+                for sub in combinations(xcols, i):
+                    alive &= np.isin(pack_rows(sub, self.n), keys, invert=True)
+        return alive
 
     @staticmethod
     def _row(cols: Sequence[np.ndarray], i: int) -> tuple:
@@ -473,26 +482,19 @@ class PathFinder:
         # Hashing has no side effects, so the order changes no outcome; and a
         # first scan without a success queries every live candidate, so its
         # query count needs no priorities at all.
-        xs = np.flatnonzero(~self.in_path).astype(np.int64)
-        if self.kernel == "vertex":
-            if xs.size == 0:
-                return ("exhausted",)
-            cols = self._vertex_cols(rec, xs)
-            alive = np.ones(xs.size, dtype=bool)
-            for dd in range(self.j):
-                partners = self.explored_partners.get(rec.jset[:dd] + rec.jset[dd + 1:])
-                if partners:
-                    alive &= ~np.isin(xs, np.asarray(partners, dtype=np.int64))
-            make_x = lambda i: (int(xs[i]),)
-        else:
-            if xs.size < 2:
-                return ("exhausted",)
-            i1, i2 = np.triu_indices(xs.size, 1)
-            dead = self.explored_vert[xs]
-            alive = ~(dead[i1] | dead[i2])
-            x, y = xs[i1], xs[i2]
-            cols = self._pair_cols(rec, x, y)
-            make_x = lambda i: (int(x[i]), int(y[i]))
+        # Q4 for one-vertex completions: drop v where T u {v} is explored for
+        # a (j-1)-subset T of J. No dropped candidate is ever queried or counted.
+        free = ~self.in_path
+        free[[v for T in combinations(rec.jset, self.j - 1)
+              for (v,) in self.explored_by.get(T, ())]] = False
+        xcols = subset_cols(np.flatnonzero(free).astype(np.int64), self.d)
+        alive = self._q4_mask(rec.jset, xcols)
+        cols = xcols
+        for u in rec.jset:
+            # sorted(row + (u,)) is (min(c0, u), u clipped to each gap, max(c_last, u))
+            cols = ([np.minimum(cols[0], u)]
+                    + [np.clip(u, lo, hi) for lo, hi in zip(cols, cols[1:])]
+                    + [np.maximum(cols[-1], u)])
         h = None
         if rec.cursor is not None:
             h = chain64_np(self.sigk_key, cols)
@@ -524,10 +526,10 @@ class PathFinder:
             return ("stop", self.monitor.time_reason(self.t))
         self.t += q
         rec.cursor = (int(hmin), wrow)
-        return ("success", make_x(win), wrow)
+        return ("success", self._row(xcols, win), wrow)
 
     def _scan(self, rec: ActiveRecord):
-        if self.kernel is not None:
+        if self.mode == "auto" and self.trace_level != "full":
             return self._scan_kernel(rec)
         return self._scan_generic(rec)
 
@@ -554,11 +556,10 @@ class PathFinder:
     def _explore_top(self) -> None:
         rec = self.stack.pop()
         self.explored.add(rec.jset)
-        for dd in range(self.j):
-            key = rec.jset[:dd] + rec.jset[dd + 1:]
-            self.explored_partners.setdefault(key, []).append(rec.jset[dd])
-        if self.explored_vert is not None:
-            self.explored_vert[rec.jset[0]] = True
+        for i in range(1, min(self.j, self.d) + 1):
+            for S in combinations(rec.jset, i):
+                T = tuple(v for v in rec.jset if v not in S)
+                self.explored_by.setdefault(T, []).append(S)
         self._emit({"event": "explored", "t": self.t, "jset": list(rec.jset)})
         batch = rec.batch
         batch.remaining -= 1
@@ -677,12 +678,7 @@ def allowed_candidates(finder: PathFinder) -> list[tuple]:
     if rec.order is not None:
         ent = rec.order[rec.idx:]
         return [X for _, K, X in ent if not finder._q4_dead(K)]
-    allowed = [v for v in range(finder.n) if v not in finder.path_vertex_set]
-    ent = []
-    for X in combinations(allowed, finder.d):
-        K = tuple(sorted(rec.jset + X))
-        ent.append((chain64(finder.sigk_key, K), K, X))
-    ent.sort()
+    ent = finder._scalar_order(rec)
     if rec.cursor is not None:
         ch, crow = rec.cursor
         ent = [e for e in ent if (e[0], e[1]) > (ch, crow)]

@@ -167,6 +167,18 @@ def test_oracle_row_time_includes_the_instance(monkeypatch):
     assert run_sweep(spec)[0].ms >= 50
 
 
+def test_explicit_search_row_time_includes_the_instance(monkeypatch):
+    generate = experiments.generate_explicit
+
+    def slow_generate(*args, **kwargs):
+        time.sleep(0.05)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_explicit", slow_generate)
+    spec = small_spec(trials=1, mode="pathfinder_explicit")
+    assert run_sweep(spec)[0].ms >= 50
+
+
 def test_node_budget_censors_oracle_trials():
     spec = small_spec(n_values=(20,), eps_values=(0.5,), trials=1,
                       mode="oracle_exact", node_budget=1)

@@ -15,6 +15,7 @@ from tightpath.hypergraph import (
     colex_tables,
     edge_count,
     generate_explicit,
+    pack_rows,
     query_edge,
     sample_explicit,
     unrank_colex,
@@ -114,6 +115,15 @@ def test_bulk_query_wide_vertex_range_fallback():
     cols = [np.array([K[i] for K in probes], dtype=np.int64) for i in range(k)]
     mask = H.bulk_query(cols)
     assert mask.tolist() == [True, True, True, False, False]
+
+
+def test_pack_rows_is_base_n_and_refuses_overflow():
+    cols = [np.array([0, 3, 9]), np.array([1, 4, 9])]
+    assert pack_rows(cols, 10).tolist() == [1, 34, 99]
+    assert cols[0].tolist() == [0, 3, 9]  # the columns are only read
+    assert pack_rows([np.array([2**31 - 1])] * 2, 2**31).tolist() == [2**62 - 1]
+    with pytest.raises(OverflowError):
+        pack_rows([np.array([0])] * 3, 2**21 + 1)
 
 
 def test_bulk_query_empty_hypergraph():

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tightpath._rng import chain64, chain64_np, derive_key
 from tightpath.hypergraph import ExplicitHypergraph, LazyHypergraph, generate_explicit
@@ -20,6 +22,7 @@ from tightpath.pathfinder import (
     replay_trace,
     retreat,
     run,
+    subset_cols,
 )
 
 
@@ -31,6 +34,20 @@ def summary_no_ms(trace):
 
 def empty_H(n, k=3):
     return ExplicitHypergraph(n, k, [])
+
+
+@pytest.fixture
+def generic_modes(monkeypatch):
+    """The mode of every run that enters the generic scan, once per scan."""
+    modes = []
+    scan = PathFinder._scan_generic
+
+    def spy(self, rec):
+        modes.append(self.mode)
+        return scan(self, rec)
+
+    monkeypatch.setattr(PathFinder, "_scan_generic", spy)
+    return modes
 
 
 # -- pure helpers ------------------------------------------------------------
@@ -219,54 +236,78 @@ def test_lazy_and_explicit_runs_are_identical():
         assert summary_no_ms(a) == summary_no_ms(b)
 
 
-def test_vertex_kernel_matches_generic_scan():
+def test_vertex_kernel_matches_generic_scan(generic_modes):
     for seed in range(10):
         H = generate_explicit(18, 3, 0.12, seed=seed)
-        auto = PathFinder(H, j=2, seed=seed)
-        assert auto.kernel == "vertex"
-        a = auto.run()
+        a = run(H, 3, 2, seed=seed)
+        assert "auto" not in generic_modes
         b = run(H, 3, 2, seed=seed, mode="generic")
         assert a.events == b.events
         assert summary_no_ms(a) == summary_no_ms(b)
+    assert "generic" in generic_modes
 
 
-def test_vertex_kernel_matches_generic_scan_graph_case():
+def test_vertex_kernel_matches_generic_scan_graph_case(generic_modes):
     for seed in range(6):
         H = generate_explicit(20, 2, 0.06, seed=seed)
-        auto = PathFinder(H, j=1, seed=seed)
-        assert auto.kernel == "vertex"
-        a = auto.run()
+        a = run(H, 2, 1, seed=seed)
+        assert "auto" not in generic_modes
         b = run(H, 2, 1, seed=seed, mode="generic")
         assert a.events == b.events
         assert summary_no_ms(a) == summary_no_ms(b)
+    assert "generic" in generic_modes
 
 
-def test_pair_kernel_matches_generic_scan():
+def test_pair_kernel_matches_generic_scan(generic_modes):
     for seed in range(10):
         H = generate_explicit(14, 3, 0.02, seed=seed)
-        auto = PathFinder(H, j=1, seed=seed)
-        assert auto.kernel == "pair"
-        a = auto.run()
+        a = run(H, 3, 1, seed=seed)
+        assert "auto" not in generic_modes
         b = run(H, 3, 1, seed=seed, mode="generic")
         assert a.events == b.events
         assert summary_no_ms(a) == summary_no_ms(b)
+    assert "generic" in generic_modes
 
 
-def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch):
+def test_full_trace_level_keeps_the_generic_scan(generic_modes):
+    H = generate_explicit(10, 4, 0.05, seed=1)
+    run(H, 4, 2, seed=1, trace_level="full")
+    assert "auto" in generic_modes
+
+
+def test_subset_cols_lists_subsets_in_lexicographic_order():
+    xs = np.array([1, 4, 5, 8, 9, 12], dtype=np.int64)
+    for d in range(1, 8):
+        cols = subset_cols(xs, d)
+        assert len(cols) == d
+        assert list(zip(*(c.tolist() for c in cols))) == list(combinations(xs.tolist(), d))
+
+
+def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_modes):
     """Budget and S2 cutoffs at every clock value 1..queries, so cutoffs land
     inside first scans (which hash no priorities unless a candidate succeeds)
     and inside resumed scans (which hash them for the Q3 cursor)."""
     seen = set()
     scan = PathFinder._scan_kernel
+    q4_mask = PathFinder._q4_mask
 
     def spy(self, rec):
         first, t = rec.cursor is None, self.t
         res = scan(self, rec)
-        seen.add((self.kernel, first, res[0], self.t > t))
+        seen.add(((self.k, self.j), first, res[0], self.t > t))
         return res
 
+    def q4_spy(self, J, xcols):
+        alive = q4_mask(self, J, xcols)
+        if not alive.all():
+            seen.add(("q4-subset", self.k, self.j))
+        return alive
+
     monkeypatch.setattr(PathFinder, "_scan_kernel", spy)
-    for n, k, j, p in [(11, 3, 1, 0.05), (9, 3, 2, 0.2), (12, 2, 1, 0.15)]:
+    monkeypatch.setattr(PathFinder, "_q4_mask", q4_spy)
+    cases = [(11, 3, 1, 0.05), (9, 3, 2, 0.2), (12, 2, 1, 0.15), (11, 4, 1, 0.02),
+             (8, 4, 2, 0.1), (8, 4, 3, 0.3), (9, 5, 2, 0.04), (8, 5, 3, 0.15)]
+    for n, k, j, p in cases:
         for seed in range(3):
             H = generate_explicit(n, k, p, seed=seed)
             total = run(H, k, j, seed=seed, mode="generic").queries
@@ -277,10 +318,43 @@ def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch):
                     g = run(H, k, j, seed=seed, stopping=cfg, mode="generic")
                     assert a.events == g.events
                     assert summary_no_ms(a) == summary_no_ms(g)
-    for kernel in ("pair", "vertex"):
+    assert "auto" not in generic_modes
+    for _, k, j, _ in cases:
         for first in (True, False):
             for outcome in ("exhausted", "success", "stop"):
-                assert (kernel, first, outcome, True) in seen
+                assert ((k, j), first, outcome, True) in seen
+    # candidates holding two vertices of an explored j-set were masked
+    for k, j in [(4, 2), (5, 2), (5, 3)]:
+        assert ("q4-subset", k, j) in seen
+
+
+@st.composite
+def search_cases(draw):
+    k = draw(st.integers(2, 5))
+    j = draw(st.integers(1, k - 1))
+    n = draw(st.integers(k + 1, k + 5))
+    p = draw(st.sampled_from([0.01, 0.03, 0.1, 0.3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    t = draw(st.integers(1, math.comb(n, k)))
+    stop = draw(st.sampled_from([
+        StoppingConfig.unbounded(),
+        StoppingConfig(enabled=frozenset(), budget=t),
+        StoppingConfig(T0=t, enabled=frozenset({"S2"})),
+    ]))
+    return n, k, j, p, seed, stop
+
+
+@given(search_cases())
+@settings(deadline=None, max_examples=300)
+def test_auto_generic_and_checked_runs_agree(case):
+    """The vector scan, the scalar scan and the checked scalar scan give equal
+    events and summaries on random shapes, densities and cutoffs."""
+    n, k, j, p, seed, stop = case
+    H = generate_explicit(n, k, p, seed=seed)
+    a, g, c = (run(H, k, j, seed=seed, stopping=stop, mode=m)
+               for m in ("auto", "generic", "checked"))
+    assert a.events == g.events == c.events
+    assert summary_no_ms(a) == summary_no_ms(g) == summary_no_ms(c)
 
 
 def test_audit_mode_agrees_with_scan_order():
