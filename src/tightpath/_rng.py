@@ -11,10 +11,15 @@ Python ints) while passing standard equidistribution tests, which is what the
 query-bound search actually needs. Priorities are 64-bit values; ties are
 broken by the canonical vertex tuple, so orderings are total even in the
 astronomically unlikely event of a hash collision.
+
+``chain64_np`` hashes in cache-sized slices of ``BLOCK`` = 2^15 elements: it
+allocates its output and a single block of scratch, and runs every column
+pass of the chain over one slice before moving on to the next.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +29,10 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+
+# Elements per slice of chain64_np: 2^15 uint64 values are 256 KB, so the
+# output slice and the scratch block stay in a per-core L2 cache.
+BLOCK = 1 << 15
 
 
 def mix64(x: int) -> int:
@@ -99,20 +108,36 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
 def chain64_np(key, cols: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized chain64. ``key`` is an int or a broadcastable uint64 array;
     each element of ``cols`` is one coordinate column. The result is a fresh
-    array of the broadcast shape; ``key`` and ``cols`` are only read."""
+    array of the broadcast shape; ``key`` and ``cols`` are only read.
+
+    The hash runs over slices of the leading axis of about ``BLOCK`` elements
+    each (at least one row), so every column pass over a slice stays in cache;
+    the only allocations are the output and one block of scratch.
+    """
     if not len(cols):
         raise ValueError("chain64_np needs at least one column")
     if isinstance(key, (int, np.integer)):
         key = np.uint64(int(key) & MASK64)
     shape = np.broadcast(key, *cols).shape
-    h = np.empty(shape, dtype=np.uint64)
-    tmp = np.empty(shape, dtype=np.uint64)
-    for i, c in enumerate(cols):
-        # c + 1 wraps mod 2^64 whether c is signed or unsigned
-        np.add(c, 1, out=tmp, casting="unsafe")
-        np.bitwise_xor(key if i == 0 else h, tmp, out=h)
-        _mix64_inplace(h, tmp)
-    return h
+    h = np.empty(shape or (1,), dtype=np.uint64)
+    step = max(1, BLOCK // max(1, math.prod(shape[1:])))
+    tmp = np.empty((min(step, len(h)),) + h.shape[1:], dtype=np.uint64)
+
+    def rows(a, lo):
+        # a's rows of the block at lo; an input that broadcasts along the
+        # leading axis (a scalar key, 1-D columns beside an (r, 1) key) is
+        # used whole
+        return a[lo : lo + step] if np.ndim(a) == h.ndim and len(a) > 1 else a
+
+    for lo in range(0, len(h), step):
+        hb = h[lo : lo + step]
+        tb = tmp[: len(hb)]
+        for i, c in enumerate(cols):
+            # c + 1 wraps mod 2^64 whether c is signed or unsigned
+            np.add(rows(c, lo), 1, out=tb, casting="unsafe")
+            np.bitwise_xor(rows(key, lo) if i == 0 else hb, tb, out=hb)
+            _mix64_inplace(hb, tb)
+    return h.reshape(shape)
 
 
 def coin_mask_np(hashes: np.ndarray, threshold: int) -> np.ndarray:

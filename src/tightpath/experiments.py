@@ -166,8 +166,8 @@ def _run_trial(args) -> TrialRecord:
     base = dict(n=n, k=spec.k, j=spec.j, eps=eps, p=p, seed=seed,
                 trial=trial_index, mode=spec.mode)
     if math.isnan(p):
-        return TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
-                           edges=-1, stop_reason="n/a", ms=0.0)
+        return _finished(TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
+                                     edges=-1, stop_reason="n/a", ms=0.0))
     t0 = time.perf_counter()  # every mode's ms includes building its instance
     try:
         if spec.mode in ("pathfinder_lazy", "pathfinder_explicit"):
@@ -195,7 +195,14 @@ def _run_trial(args) -> TrialRecord:
               file=sys.stderr)
         return TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
                            edges=-1, stop_reason="error", ms=0.0)
-    return TrialRecord(**base, **out, ms=(time.perf_counter() - t0) * 1000.0)
+    return _finished(TrialRecord(**base, **out, ms=(time.perf_counter() - t0) * 1000.0))
+
+
+def _finished(rec: TrialRecord) -> TrialRecord:
+    """Print the progress line of a finished trial to stderr."""
+    print(f"trial ({rec.n}, {rec.eps}, {rec.trial}): {rec.stop_reason} L={rec.L} ms={rec.ms:.1f}",
+          file=sys.stderr)
+    return rec
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[TrialRecord]:

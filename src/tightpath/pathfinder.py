@@ -31,7 +31,8 @@ scan) or a live candidate succeeded. A first scan with no live success would
 query every live candidate in turn, so its query count is the number of live
 candidates whatever their order. The scan reports the queries the scalar scan
 would make, in the same order and with the same cutoffs, so events, counts
-and traces are identical.
+and traces are identical. Its vertex columns are int32, half the memory
+traffic of int64; PathFinder therefore refuses n >= 2^31.
 """
 
 from __future__ import annotations
@@ -297,6 +298,8 @@ class PathFinder:
             raise ValueError(f"trace_level must be one of {TRACE_LEVELS}")
         if mode not in ("auto", "generic", "checked"):
             raise ValueError("mode must be auto, generic, or checked")
+        if H.n >= 2**31:
+            raise ValueError(f"n = {H.n} does not fit the scan's int32 vertex columns")
         self.H = H
         self.n, self.k, self.j = H.n, H.k, j
         self.params: StructuralParams = structural_params(self.k, j)
@@ -487,10 +490,10 @@ class PathFinder:
         free = ~self.in_path
         free[[v for T in combinations(rec.jset, self.j - 1)
               for (v,) in self.explored_by.get(T, ())]] = False
-        xcols = subset_cols(np.flatnonzero(free).astype(np.int64), self.d)
+        xcols = subset_cols(np.flatnonzero(free).astype(np.int32), self.d)
         alive = self._q4_mask(rec.jset, xcols)
         cols = xcols
-        for u in rec.jset:
+        for u in map(np.int32, rec.jset):  # np.clip(int, ...) would widen to int64
             # sorted(row + (u,)) is (min(c0, u), u clipped to each gap, max(c_last, u))
             cols = ([np.minimum(cols[0], u)]
                     + [np.clip(u, lo, hi) for lo, hi in zip(cols, cols[1:])]

@@ -154,6 +154,14 @@ def test_trial_errors_are_censored_and_reported(monkeypatch, capsys):
     assert math.isnan(aggregate(recs)[0]["L_mean"])
 
 
+def test_finished_trials_print_a_progress_line(capsys):
+    recs = run_sweep(small_spec(trials=2))
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"trial (24, 0.3, {r.trial}): {r.stop_reason} L={r.L} ms={r.ms:.1f}"
+                   for r in recs]
+    assert [r.trial for r in recs] == [0, 1]
+
+
 def test_oracle_row_time_includes_the_instance(monkeypatch):
     sample = experiments.sample_explicit
 

@@ -283,6 +283,39 @@ def test_subset_cols_lists_subsets_in_lexicographic_order():
         assert list(zip(*(c.tolist() for c in cols))) == list(combinations(xs.tolist(), d))
 
 
+def test_vector_scan_columns_are_int32(generic_modes):
+    """Every column the scan hands to bulk_query is int32, in every shape."""
+
+    class Spy:
+        def __init__(self, H):
+            self.H, self.n, self.k, self.dtypes = H, H.n, H.k, set()
+
+        def bulk_query(self, cols):
+            self.dtypes.update(c.dtype for c in cols)
+            return self.H.bulk_query(cols)
+
+        def query_edge(self, K):
+            return self.H.query_edge(K)
+
+    for k in range(2, 6):
+        for j in range(1, k):
+            H = Spy(LazyHypergraph(k + 6, k, 0.1, seed=k * j))
+            run(H, k, j, seed=1)
+            assert H.dtypes == {np.dtype(np.int32)}, (k, j)
+    assert "auto" not in generic_modes
+    xs = np.arange(6)
+    for dtype in (np.int32, np.int64):
+        assert all(c.dtype == dtype for c in subset_cols(xs.astype(dtype), 3))
+
+
+def test_vertex_labels_must_fit_int32():
+    class Stub:  # nothing of size n is allocated before the check
+        n, k = 2**31, 3
+
+    with pytest.raises(ValueError, match="int32"):
+        PathFinder(Stub(), j=2)
+
+
 def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_modes):
     """Budget and S2 cutoffs at every clock value 1..queries, so cutoffs land
     inside first scans (which hash no priorities unless a candidate succeeds)

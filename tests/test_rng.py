@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath._rng import (
+    BLOCK,
     MASK64,
     chain64,
     chain64_np,
@@ -57,6 +58,36 @@ def test_chain64_np_contract():
         assert [int(v) for v in hk[r]] == [chain64(int(keys[r, 0]), row) for row in rows]
     assert all((c == b).all() for c, b in zip(cols, cols_before))
     assert (keys == keys_before).all()
+
+
+def test_chain64_np_blocks_agree_with_scalar_chain64():
+    """Row counts just around one and two blocks, int32/int64/uint64 columns,
+    a scalar key and a 2-D (r, 1) key spanning several blocks, and size 0."""
+    rng = np.random.default_rng(5)
+    key = derive_key(9, "test")
+    for rows in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 0):
+        values = [rng.integers(0, 2**31 - 1, size=rows) for _ in range(3)]
+        expect = [chain64(key, row) for row in zip(*(v.tolist() for v in values))]
+        for dtype in (np.int32, np.int64, np.uint64):
+            cols = [v.astype(dtype) for v in values]
+            before = [c.copy() for c in cols]
+            h = chain64_np(key, cols)
+            assert h.dtype == np.uint64 and h.shape == (rows,)
+            assert h.tolist() == expect
+            assert all(c.dtype == b.dtype and (c == b).all() for c, b in zip(cols, before))
+    # 2-D key: BLOCK // 5 rows per slice, so 3 * BLOCK // 5 + 2 rows span 4 slices
+    cols = [rng.integers(0, 1000, size=5).astype(dt) for dt in (np.int32, np.int64, np.uint64)]
+    r = 3 * BLOCK // 5 + 2
+    keys = np.array([[derive_key(s, "test")] for s in range(r)], dtype=np.uint64)
+    keys_before = keys.copy()
+    hk = chain64_np(keys, cols)
+    assert hk.dtype == np.uint64 and hk.shape == (r, 5)
+    rows5 = [[int(c[x]) for c in cols] for x in range(5)]
+    assert hk.tolist() == [[chain64(int(k), row) for row in rows5] for k in keys[:, 0]]
+    assert (chain64_np(keys, [c.reshape(1, 5) for c in cols]) == hk).all()
+    assert (keys == keys_before).all()
+    empty = chain64_np(keys[:0], cols)
+    assert empty.dtype == np.uint64 and empty.shape == (0, 5)
 
 
 def test_chain64_is_order_sensitive():
