@@ -1,7 +1,8 @@
 """Two interchangeable edge oracles for the binomial random hypergraph.
 
-ExplicitHypergraph stores the full edge set (small n, comparable against the
-exact search). LazyHypergraph answers "is this k-set an edge" by flipping a
+ExplicitHypergraph stores the full edge set as one sorted (m, k) int64 row
+array and builds its frozenset of tuples only on first use (small n,
+comparable against the exact search). LazyHypergraph answers "is this k-set an edge" by flipping a
 keyed coin on first query, realizing H^k(n,p) under the search's guarantee
 that no k-set is queried twice. Both use the same coin function, so a run on
 either backend with equal seeds sees identical edges.
@@ -13,7 +14,9 @@ measurements); its instances are not coin-compatible with the lazy backend.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,20 +87,40 @@ def pack_rows(cols: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 
 class ExplicitHypergraph:
-    """Immutable stored k-uniform hypergraph on [0, n)."""
+    """Immutable stored k-uniform hypergraph on [0, n).
+
+    The storage is one (m, k) int64 array of distinct edges in lexicographic
+    row order. ``edges``, the frozenset of vertex tuples that ``query_edge``
+    and the DFS oracle use, is built from it on first use.
+    """
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         self.n = n
         self.k = k
-        es = set()
-        for e in edges:
-            t = canonical_kset(e)
-            _check_canonical(t, k, n)
-            es.add(t)
-        self.edges = frozenset(es)
-        self._packed: np.ndarray | None = None
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        rows = np.empty((0, k), dtype=np.int64)
+        with contextlib.suppress(ValueError, OverflowError):  # ragged, or beyond int64
+            rows = np.array(edges, dtype=np.int64) if len(edges) else rows
+        if rows.shape != (len(edges), k) or len(rows) and (
+            rows[:, 0].min() < 0 or rows[:, -1].max() >= n or (rows[:, 1:] <= rows[:, :-1]).any()
+        ):  # report the first bad edge as the per-edge checks do
+            for e in edges.tolist() if isinstance(edges, np.ndarray) else edges:
+                _check_canonical(canonical_kset(e), k, n)
+        rows = rows[np.lexsort(rows.T[::-1])]  # lexsort's last key is its primary one
+        self._rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]] if len(rows) else rows
+
+    @cached_property
+    def edges(self) -> frozenset:
+        # The DFS oracle follows this set's iteration order, which depends on
+        # insertion order: insert in colex order, as both generators emit edges.
+        return frozenset(set(map(tuple, self._rows[np.lexsort(self._rows.T)].tolist())))
+
+    @cached_property
+    def _packed(self) -> np.ndarray:
+        """Base-n keys of the rows, sorted because the rows are."""
+        return pack_rows(list(self._rows.T), self.n)
 
     def query_edge(self, K: Sequence[int]) -> bool:
         _check_canonical(K, self.k, self.n)
@@ -105,40 +128,30 @@ class ExplicitHypergraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._rows)
 
     def edge_array(self) -> np.ndarray:
         """Edges as a sorted (m, k) int64 array, lexicographic row order."""
-        if not self.edges:
-            return np.empty((0, self.k), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
+        return self._rows.copy()
 
     def bulk_query(self, cols: Sequence[np.ndarray]) -> np.ndarray:
         """Membership mask for many canonical k-sets given as columns."""
-        if self.n**self.k >= 2**62:
-            ks = zip(*(np.asarray(c) for c in cols))
-            return np.array([tuple(int(v) for v in K) in self.edges for K in ks])
-        if self._packed is None:
-            arr = self.edge_array()
-            packed = pack_rows([arr[:, i] for i in range(self.k)], self.n) if len(arr) else np.empty(0, np.int64)
-            self._packed = np.sort(packed)
-        keys = pack_rows([np.asarray(c) for c in cols], self.n)
-        idx = np.searchsorted(self._packed, keys)
-        idx = np.minimum(idx, max(len(self._packed) - 1, 0))
+        if self.n**self.k > 2**63:  # rows do not pack into int64 keys
+            ks = zip(*(np.asarray(c).tolist() for c in cols))
+            return np.array([K in self.edges for K in ks], dtype=bool)
+        keys = pack_rows(cols, self.n)
         if len(self._packed) == 0:
             return np.zeros(keys.shape, dtype=bool)
+        idx = np.minimum(np.searchsorted(self._packed, keys), len(self._packed) - 1)
         return self._packed[idx] == keys
 
     def relabeled(self, perm: Sequence[int]) -> "ExplicitHypergraph":
-        return ExplicitHypergraph(
-            self.n, self.k, [sorted(perm[v] for v in e) for e in self.edges]
-        )
+        return ExplicitHypergraph(self.n, self.k, np.sort(np.asarray(perm)[self._rows], axis=1))
 
     def write_text(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(f"{self.n} {self.k}\n")
-            for e in sorted(self.edges):
-                fh.write(" ".join(map(str, e)) + "\n")
+            fh.writelines(" ".join(map(str, e)) + "\n" for e in self._rows.tolist())
 
     @classmethod
     def read_text(cls, path: str) -> "ExplicitHypergraph":
@@ -221,7 +234,7 @@ def generate_explicit(
         if mask.any():
             edges.append(cols_mat[mask])
     rows = np.concatenate(edges) if edges else np.empty((0, k), dtype=np.int64)
-    return ExplicitHypergraph(n, k, [tuple(int(v) for v in row) for row in rows])
+    return ExplicitHypergraph(n, k, rows)
 
 
 def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
@@ -255,5 +268,4 @@ def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
         uniq, first = np.unique(pool, return_index=True)
         chosen = uniq[np.argsort(first)]  # first-occurrence order, deterministic
     chosen = np.sort(chosen[:count])
-    cols = unrank_colex(chosen, k, n)
-    return ExplicitHypergraph(n, k, [tuple(int(v) for v in row) for row in cols])
+    return ExplicitHypergraph(n, k, unrank_colex(chosen, k, n))

@@ -5,7 +5,8 @@ exact longest j-tight path by exhaustive backtracking (with a node budget
 and an explicit censored flag), exact equivalence-class sizes by permutation
 enumeration, and Monte-Carlo estimation of the expected number of path
 classes. A vectorized level-by-level enumerator handles sparse large-n
-instances when the overlap leaves one fresh vertex per edge.
+instances when the overlap leaves one fresh vertex per edge: its paths are
+int32 rows, and a group-id index finds their completions with no search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._rng import chain64_np, coin_mask_np, coin_threshold, derive_key, mix64
 from .combinatorics import JTightPath, path_vertex_count, structural_params
-from .hypergraph import ExplicitHypergraph
+from .hypergraph import ExplicitHypergraph, pack_rows
 
 Z_BRUTEFORCE_MAX_V = 11
 
@@ -157,48 +158,42 @@ def _longest_path_dfs(H: ExplicitHypergraph, j: int, node_budget: int) -> Oracle
 
 
 def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> OracleResult:
-    """Level-synchronous enumeration for k-j == 1: rows are vertex sequences."""
+    """Level-synchronous enumeration for k-j == 1, with no search per level.
+
+    Level L holds every path of L edges as int32 rows of its vertex sequence,
+    stored one column per position. Entry d*m + e of the completion index is
+    edge e less its d-th vertex: the entries are sorted by that packed j-set,
+    and each run of equal j-sets is a group listed from ``gstart[g]``. Every
+    row carries the group id of its tail, so its completions are two gathers
+    from ``gstart``. Extending a row by entry i drops the oldest tail vertex,
+    which is the t-th smallest of the tail; the new tail's group is
+    ``succ[i*j + t]``, tabulated once per entry.
+    """
     k, n = H.k, H.n
     arr = H.edge_array()
-    if len(arr) == 0:
+    m = len(arr)
+    if m == 0:
         return OracleResult(0, JTightPath(k, j, tuple(range(j))), False, 0)
-
-    # index: packed sorted j-set -> contiguous run of completing vertices
-    pairs_key = []
-    pairs_val = []
-    for drop in range(k):
-        keep = [c for c in range(k) if c != drop]
-        key = arr[:, keep[0]].copy()
-        for c in keep[1:]:
-            key *= n
-            key += arr[:, c]
-        pairs_key.append(key)
-        pairs_val.append(arr[:, drop])
-    keys = np.concatenate(pairs_key)
-    vals = np.concatenate(pairs_val)
+    keys = np.concatenate([pack_rows([arr[:, c] for c in range(k) if c != d], n) for d in range(k)])
     order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
+    first = np.r_[True, np.diff(keys[order]) != 0]
+    gstart = np.append(np.flatnonzero(first), m * k)
+    grp = np.empty(m * k, dtype=np.int64)
+    grp[order] = np.cumsum(first) - 1
+    vals = arr.T.ravel()[order].astype(np.int32)
+    e, d = order[:, None] % m, order[:, None] // m  # edge and dropped position of each entry
+    t = np.arange(j)  # the t-th smallest vertex of edge e less e[d] is e[t + (t >= d)]
+    succ = grp[(t + (t >= d)) * m + e].ravel()
 
     # level 1: every ordered j-tail of every edge, head vertex first
-    rows = []
-    for tailcols in permutations(range(k), j):
-        headcols = [c for c in range(k) if c not in tailcols]
-        rows.append(arr[:, list(headcols) + list(tailcols)])
-    cur = np.concatenate(rows)
-    nodes = int(len(cur))
+    perms = [(*(c for c in range(k) if c not in tl), *tl) for tl in permutations(range(k), j)]
+    cur = np.concatenate([arr[:, p] for p in perms]).T.astype(np.int32)
+    tail = np.concatenate([grp[p[0] * m : (p[0] + 1) * m] for p in perms])
+    nodes = cur.shape[1]
     censored = False
-    best_row = cur[0] if len(cur) else None
-    best_len = 1 if len(cur) else 0
-
-    while len(cur):
-        tail_sorted = np.sort(cur[:, -j:], axis=1)
-        tail = tail_sorted[:, 0].copy()
-        for c in range(1, j):
-            tail *= n
-            tail += tail_sorted[:, c]
-        lo = np.searchsorted(keys, tail, side="left")
-        hi = np.searchsorted(keys, tail, side="right")
-        counts = hi - lo
+    while True:
+        lo = gstart[tail]
+        counts = gstart[tail + 1] - lo
         total = int(counts.sum())
         if total == 0:
             break
@@ -206,22 +201,25 @@ def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> Ora
             censored = True
             break
         nodes += total
-        rep = np.repeat(np.arange(len(cur)), counts)
-        offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        cand = vals[np.repeat(lo, counts) + offs]
-        fresh = ~(cur[rep] == cand[:, None]).any(axis=1)
+        rep = np.repeat(np.arange(len(counts)), counts)
+        pos = np.arange(total) + (lo - np.cumsum(counts) + counts)[rep]
+        cand = vals[pos]
+        fresh = np.ones(total, dtype=bool)
+        for c in range(len(cur) - j):  # the tail completes to cand's edge, so never holds cand
+            fresh &= cur[c][rep] != cand
         if not fresh.any():
             break
-        cur = np.concatenate([cur[rep[fresh]], cand[fresh, None]], axis=1)
-        best_row = cur[0]
-        best_len += 1
+        rep, pos = rep[fresh], pos[fresh]
+        # the oldest tail vertex's rank t within the sorted tail, per row
+        rank = sum((cur[c] < cur[-j] for c in range(len(cur) - j + 1, len(cur))), np.zeros_like(lo))
+        tail = succ[pos * j + rank[rep]]
+        nxt = np.empty((len(cur) + 1, len(rep)), dtype=np.int32)
+        np.take(cur, rep, axis=1, out=nxt[:-1])
+        nxt[-1] = cand[fresh]
+        cur = nxt
 
-    if best_row is None:
-        witness = JTightPath(k, j, tuple(range(j)))
-    else:
-        witness = JTightPath(k, j, tuple(int(v) for v in best_row))
-    assert witness.ell == best_len
-    return OracleResult(best_len, witness, censored, nodes)
+    witness = JTightPath(k, j, tuple(cur[:, 0].tolist()))
+    return OracleResult(witness.ell, witness, censored, nodes)
 
 
 def enumerate_path_classes(H: ExplicitHypergraph, j: int, ell: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Edge-oracle backends: stored, lazy-coin, and rank-sampled."""
 
+import hashlib
 import itertools
 import math
 
@@ -106,15 +107,27 @@ def test_bulk_query_matches_scalar_loop():
 
 
 def test_bulk_query_wide_vertex_range_fallback():
-    # n^k = 255^8 exceeds 2^62, forcing the unpacked membership path
+    # n^k = 255^8 exceeds 2^63, forcing the unpacked membership path
     n, k = 255, 8
-    assert n**k >= 2**62
+    assert n**k > 2**63
     edges = [tuple(range(8)), tuple(range(1, 9)), (0, 3, 9, 27, 81, 100, 200, 254)]
     H = ExplicitHypergraph(n, k, edges)
     probes = edges + [tuple(range(2, 10)), (0, 1, 2, 3, 4, 5, 6, 254)]
     cols = [np.array([K[i] for K in probes], dtype=np.int64) for i in range(k)]
     mask = H.bulk_query(cols)
     assert mask.tolist() == [True, True, True, False, False]
+    assert "_packed" not in vars(H)
+
+
+def test_bulk_query_packs_up_to_the_pack_rows_bound():
+    # n^k = 2^62 packs into int64 keys, so no per-row Python loop runs
+    n = 2**31
+    edges = [(0, n - 1), (5, 7), (n - 2, n - 1)]
+    H = ExplicitHypergraph(n, 2, edges)
+    probes = edges + [(0, 5), (7, n - 1)]
+    cols = [np.array([K[i] for K in probes], dtype=np.int64) for i in range(2)]
+    assert H.bulk_query(cols).tolist() == [True, True, True, False, False]
+    assert "edges" not in vars(H)
 
 
 def test_pack_rows_is_base_n_and_refuses_overflow():
@@ -209,3 +222,70 @@ def test_sample_explicit_edge_count_mean():
     mean = sum(counts) / len(counts)
     se = math.sqrt(total * p * (1 - p) / len(counts))
     assert abs(mean - total * p) < 3 * se
+
+
+def test_instances_from_a_list_a_generator_and_an_array_are_equal():
+    edges = [(3, 4, 5), (0, 2, 7), (0, 1, 8), (3, 4, 5), (0, 2, 7)]
+    made = [
+        ExplicitHypergraph(9, 3, edges),
+        ExplicitHypergraph(9, 3, (e for e in edges)),
+        ExplicitHypergraph(9, 3, np.array(edges)),
+    ]
+    for H in made:
+        assert H.edge_count == 3  # duplicates collapse
+        assert H.edges == {(0, 1, 8), (0, 2, 7), (3, 4, 5)}
+        assert H.edge_array().tolist() == [[0, 1, 8], [0, 2, 7], [3, 4, 5]]
+        assert all(type(v) is int for e in H.edges for v in e)
+
+
+def test_bad_edges_raise_the_per_edge_messages(tmp_path):
+    bad = [
+        ([(0, 1, 2), (0, 1)], "expected a 3-set, got 2 vertices"),
+        ([(0, 1, 2), (0, 1, 2, 3)], "expected a 3-set, got 4 vertices"),
+        ([(0, 1, 9)], r"vertices out of range \[0, 6\): \(0, 1, 9\)"),
+        ([(-1, 1, 2)], r"vertices out of range \[0, 6\): \(-1, 1, 2\)"),
+        ([(0, 1, 2), (2, 1, 3)], r"strictly increasing: \(2, 1, 3\)"),
+        ([(0, 2, 2)], r"strictly increasing: \(0, 2, 2\)"),
+    ]
+    path = tmp_path / "bad.txt"
+    for edges, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ExplicitHypergraph(6, 3, edges)
+        if len({len(e) for e in edges}) == 1:
+            with pytest.raises(ValueError, match=message):
+                ExplicitHypergraph(6, 3, np.array(edges))
+        path.write_text("6 3\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+        with pytest.raises(ValueError, match=message):
+            ExplicitHypergraph.read_text(str(path))
+
+
+def test_edge_array_is_a_sorted_copy():
+    H = generate_explicit(12, 3, 0.3, seed=4)
+    arr = H.edge_array()
+    assert arr.dtype == np.int64
+    assert [tuple(row) for row in arr] == sorted(H.edges)
+    arr[:] = 0
+    assert H.edge_array().tolist() == sorted(map(list, H.edges))
+
+
+def test_generated_instances_and_text_output_are_pinned(tmp_path):
+    """Edge sets and write_text bytes recorded before instances became arrays."""
+    assert sorted(generate_explicit(8, 3, 0.1, seed=3).edges) == [
+        (0, 2, 7), (0, 3, 4), (1, 2, 5), (5, 6, 7)]
+    assert sorted(sample_explicit(30, 3, 0.002, seed=5).edges) == [
+        (1, 6, 9), (1, 7, 14), (2, 3, 20), (2, 9, 20), (3, 7, 14), (3, 12, 18),
+        (3, 26, 29), (4, 9, 16), (6, 9, 14), (12, 20, 25), (15, 17, 20), (16, 17, 18)]
+    path = tmp_path / "h.txt"
+    for H, count, digest in [
+        (generate_explicit(8, 3, 0.1, seed=3), 4,
+         "08321e5727c06a6b73538e74520907bf89eae9050029e44a7c328caf1d152a24"),
+        (sample_explicit(30, 3, 0.002, seed=5), 12,
+         "2bda5e7a97045948355b5952b253a8b0199663700455fffbd6207b1cfee5e8d2"),
+        (generate_explicit(14, 4, 0.2, seed=9), 175,
+         "0fef840f7f2f6176d297cca51e0bc2c9ef869ce21825106fe59d583ea8ef96b6"),
+        (sample_explicit(200, 3, 1e-4, seed=2), 129,
+         "4163cb00a4e059bdc14dbaea9feb7637c3e2ca5c9543a7c58e2977bb12aac4c3"),
+    ]:
+        H.write_text(str(path))
+        assert H.edge_count == count
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

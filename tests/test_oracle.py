@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from tightpath.combinatorics import JTightPath, path_vertex_count, z_ell
-from tightpath.hypergraph import ExplicitHypergraph, generate_explicit
+from tightpath.hypergraph import ExplicitHypergraph, generate_explicit, sample_explicit
 from tightpath.oracle import (
     OracleResult,
     enumerate_path_classes,
@@ -79,13 +79,75 @@ def test_witness_is_a_path_in_the_instance():
 
 def test_dfs_and_levels_agree():
     """The two enumeration strategies are interchangeable when k-j == 1."""
-    for seed in range(30):
-        H = generate_explicit(10, 3, 0.2, seed=seed)
-        a = longest_path_exact(H, 2, method="dfs")
-        b = longest_path_exact(H, 2, method="levels")
-        assert a.length == b.length
-        assert not a.censored and not b.censored
-        assert b.witness.edge_sets() <= {frozenset(e) for e in H.edges}
+    for k, n, p, seeds in [(2, 14, 0.15, 10), (3, 10, 0.2, 30), (4, 9, 0.1, 10), (5, 9, 0.06, 6)]:
+        for seed in range(seeds):
+            H = generate_explicit(n, k, p, seed=seed)
+            a = longest_path_exact(H, k - 1, method="dfs")
+            b = longest_path_exact(H, k - 1, method="levels")
+            assert a.length == b.length
+            assert not a.censored and not b.censored
+            assert b.witness.edge_sets() <= {frozenset(e) for e in H.edges}
+
+
+# (length, nodes, censored, witness) of the levels oracle, recorded before its
+# completion lookup became a group-id index; budgets unbounded, one below the
+# full count (censors in the last level) and half way (censors in level 2)
+LEVELS_PINS = {
+    (2, "gen", 5_000_000): (14, 1618, False, (23, 8, 4, 10, 26, 15, 38, 20, 30, 29, 12, 17, 7, 11, 14)),
+    (2, "gen", 1617): (14, 1616, True, (23, 8, 4, 10, 26, 15, 38, 20, 30, 29, 12, 17, 7, 11, 14)),
+    (2, "gen", 838): (5, 682, True, (34, 2, 38, 15, 26, 4)),
+    (2, "smp", 5_000_000): (6, 772, False, (112, 48, 87, 7, 132, 92, 149)),
+    (2, "smp", 771): (6, 770, True, (112, 48, 87, 7, 132, 92, 149)),
+    (2, "smp", 462): (2, 416, True, (17, 5, 114)),
+    (3, "gen", 5_000_000): (4, 1026, False, (19, 0, 2, 15, 11, 14)),
+    (3, "gen", 1025): (4, 1008, True, (19, 0, 2, 15, 11, 14)),
+    (3, "gen", 657): (1, 288, True, (15, 0, 2)),
+    (3, "smp", 5_000_000): (3, 1372, False, (86, 35, 74, 11, 70)),
+    (3, "smp", 1371): (3, 1370, True, (86, 35, 74, 11, 70)),
+    (3, "smp", 1010): (1, 648, True, (76, 0, 4)),
+    (4, "gen", 5_000_000): (5, 3563, False, (0, 2, 4, 11, 10, 6, 12, 13)),
+    (4, "gen", 3562): (5, 3551, True, (0, 2, 4, 11, 10, 6, 12, 13)),
+    (4, "gen", 2381): (1, 1200, True, (7, 0, 1, 2)),
+    (4, "smp", 5_000_000): (2, 5016, False, (49, 0, 19, 31, 16)),
+    (4, "smp", 5015): (2, 4980, True, (49, 0, 19, 31, 16)),
+    (4, "smp", 3744): (1, 2472, True, (30, 0, 2, 5)),
+    (5, "gen", 5_000_000): (5, 11454, False, (1, 0, 9, 3, 2, 6, 10, 4, 7)),
+    (5, "gen", 11453): (5, 11450, True, (1, 0, 9, 3, 2, 6, 10, 4, 7)),
+    (5, "gen", 7947): (1, 4440, True, (9, 0, 1, 2, 3)),
+    (5, "smp", 5_000_000): (2, 23424, False, (24, 0, 1, 4, 11, 29)),
+    (5, "smp", 23423): (2, 23232, True, (24, 0, 1, 4, 11, 29)),
+    (5, "smp", 17472): (1, 11520, True, (24, 0, 1, 4, 11)),
+}
+PIN_INSTANCES = {
+    (2, "gen"): lambda: generate_explicit(40, 2, 0.04, seed=1),
+    (2, "smp"): lambda: sample_explicit(150, 2, 0.006, seed=1),
+    (3, "gen"): lambda: generate_explicit(22, 3, 0.03, seed=1),
+    (3, "smp"): lambda: sample_explicit(100, 3, 6e-4, seed=1),
+    (4, "gen"): lambda: generate_explicit(15, 4, 0.04, seed=1),
+    (4, "smp"): lambda: sample_explicit(50, 4, 4e-4, seed=1),
+    (5, "gen"): lambda: generate_explicit(12, 5, 0.05, seed=1),
+    (5, "smp"): lambda: sample_explicit(30, 5, 6e-4, seed=1),
+}
+
+
+def test_levels_oracle_outputs_are_pinned():
+    for (k, kind, budget), want in LEVELS_PINS.items():
+        res = longest_path_exact(PIN_INSTANCES[k, kind](), k - 1, node_budget=budget, method="levels")
+        got = (res.length, res.nodes, res.censored, tuple(res.witness.vertices))
+        assert got == want, (k, kind, budget)
+
+
+def test_dfs_oracle_outputs_are_pinned():
+    """The DFS oracle walks completions in the iteration order of ``H.edges``;
+    (length, nodes, censored, witness) recorded before instances were arrays."""
+    for (n, k, j, p, seed, budget), want in {
+        (11, 5, 2, 0.02, 26, 1000): (3, 1002, True, (4, 6, 7, 0, 9, 10, 2, 8, 1, 3, 5)),
+        (11, 5, 2, 0.02, 26, 10**6): (3, 1884, False, (4, 6, 7, 0, 9, 10, 2, 8, 1, 3, 5)),
+        (11, 5, 3, 0.03, 20, 1000): (4, 1003, True, (6, 9, 5, 8, 0, 3, 1, 2, 7, 4, 10)),
+    }.items():
+        H = generate_explicit(n, k, p, seed=seed)
+        res = longest_path_exact(H, j, node_budget=budget, method="dfs")
+        assert (res.length, res.nodes, res.censored, tuple(res.witness.vertices)) == want
 
 
 def test_method_validation():
