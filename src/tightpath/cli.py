@@ -166,7 +166,9 @@ def cmd_sweep(args) -> int:
             return 1
         spec = experiments.PRESETS[args.preset]
     elif args.config:
-        spec = experiments.SweepSpec.from_config(read_config(args.config))
+        # keys naming sweep's own flags (out, summary) were merged into args
+        cfg = {k: v for k, v in read_config(args.config).items() if not hasattr(args, k)}
+        spec = experiments.SweepSpec.from_config(cfg)
     else:
         print("error: sweep needs --preset or --config", file=sys.stderr)
         return 1

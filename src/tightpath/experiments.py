@@ -88,33 +88,33 @@ class SweepSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepSpec":
         """Build from a flat string mapping (config-file keys mirror fields;
-        list values are comma-separated)."""
+        list values are comma-separated). A missing required key or an
+        unknown key raises ValueError naming it."""
         def ints(v):
             return tuple(int(x) for x in str(v).split(","))
 
         def floats(v):
             return tuple(float(x) for x in str(v).split(","))
 
-        kwargs = {
-            "k": int(cfg["k"]),
-            "j": int(cfg["j"]),
-            "n_values": ints(cfg["n"]),
-            "eps_values": floats(cfg["eps"]),
-            "trials": int(cfg.get("trials", 1)),
-            "mode": cfg.get("mode", "pathfinder_lazy"),
+        def names(v):
+            return tuple(s.strip() for s in str(v).split(",") if s.strip())
+
+        parsers = {  # config key -> (field, parser); the first four are required
+            "k": ("k", int), "j": ("j", int), "n": ("n_values", ints),
+            "eps": ("eps_values", floats), "trials": ("trials", int), "mode": ("mode", str),
+            "delta": ("delta", float), "omega": ("omega", float), "seed": ("master_seed", int),
+            "query_budget": ("query_budget", int), "node_budget": ("node_budget", int),
+            "enabled": ("enabled", names),
         }
-        if "delta" in cfg:
-            kwargs["delta"] = float(cfg["delta"])
-        if "omega" in cfg:
-            kwargs["omega"] = float(cfg["omega"])
-        if "seed" in cfg:
-            kwargs["master_seed"] = int(cfg["seed"])
-        if "query_budget" in cfg:
-            kwargs["query_budget"] = int(cfg["query_budget"])
-        if "node_budget" in cfg:
-            kwargs["node_budget"] = int(cfg["node_budget"])
-        if "enabled" in cfg:
-            kwargs["enabled"] = tuple(s.strip() for s in str(cfg["enabled"]).split(",") if s.strip())
+        for key in ("k", "j", "n", "eps"):
+            if key not in cfg:
+                raise ValueError(f"sweep config is missing required key {key!r}")
+        for key in cfg:
+            if key not in parsers:
+                raise ValueError(f"unknown sweep config key {key!r}")
+        kwargs = {"trials": 1, "mode": "pathfinder_lazy"}
+        kwargs.update((name, parse(cfg[key])) for key, (name, parse) in parsers.items()
+                      if key in cfg)
         return cls(**kwargs)
 
 

@@ -270,11 +270,8 @@ def forbidden_counts(finder, f2_exact_limit: int = F2_EXACT_LIMIT) -> ForbiddenC
 
     f2_exact = None
     if math.comb(n - j, d) <= f2_exact_limit:
-        explored = finder.explored
+        assert J not in finder.explored  # J is active, so only other j-sets block
         outside_path = [v for v in range(n) if v not in finder.path_vertex_set]
-        f2_exact = 0
-        for X in combinations(outside_path, d):
-            K = tuple(sorted(J + X))
-            if any(sub != J and sub in explored for sub in combinations(K, j)):
-                f2_exact += 1
+        f2_exact = sum(finder._q4_dead(tuple(sorted(J + X)))
+                       for X in combinations(outside_path, d))
     return ForbiddenCounters(f1, f1_bound, f2_bound, f2_exact)

@@ -21,18 +21,19 @@ m+1..m+r+1 and extends exactly when the path again has m edges. Extending
 reorders the donor block so the extender's C0 occupies its tail; no existing
 edge depends on that block's internal order at that moment.
 
-One vectorized scan serves every (k, j), observationally identical to the
-generic scan, which carries the invariant checks and full query traces. It
-builds every candidate of J at once, as (k-j)-subsets of the free vertices
-merged with J into sorted K columns, and works in this order: Q4 (from an
-index of explored j-sets by their proper subsets), then the edge coins of all
-candidates, then the priority hashes, but only when Q3 needs them (a resumed
-scan) or a live candidate succeeded. A first scan with no live success would
-query every live candidate in turn, so its query count is the number of live
-candidates whatever their order. The scan reports the queries the scalar scan
-would make, in the same order and with the same cutoffs, so events, counts
-and traces are identical. Its vertex columns are int32, half the memory
-traffic of int64; PathFinder therefore refuses n >= 2^31.
+The generic (scalar) scan carries the invariant checks and full query traces;
+it hashes only candidates that pass Q4. One vectorized scan serves every
+(k, j), observationally identical to it. It builds every candidate of J at
+once, as (k-j)-subsets of the free vertices merged with J into sorted K
+columns, and works in this order: Q4 (from an index of explored j-sets by
+their proper subsets), then the edge coins of all candidates, then the
+priority hashes, but only when Q3 needs them (a resumed scan) or a live
+candidate succeeded. A first scan with no live success would query every live
+candidate in turn, so its query count is the number of live candidates
+whatever their order. The scan reports the queries the scalar scan would
+make, in the same order and with the same cutoffs, so events, counts and
+traces are identical. Its vertex columns are int32, half the memory traffic
+of int64; PathFinder therefore refuses n >= 2^31.
 """
 
 from __future__ import annotations
@@ -405,15 +406,17 @@ class PathFinder:
         return cut if math.isinf(cut) else math.ceil(cut)
 
     def _q4_dead(self, K: tuple) -> bool:
-        return any(sub in self.explored for sub in combinations(K, self.j))
+        return not self.explored.isdisjoint(combinations(K, self.j))
 
     def _scalar_order(self, rec: ActiveRecord) -> list[tuple]:
-        """[(priority, K, X)] over every X disjoint from the path, in query order."""
+        """[(priority, K, X)] over every X disjoint from the path, in query
+        order, minus Q4-dead K: explored j-sets only accumulate, so those never revive."""
         allowed = [v for v in range(self.n) if v not in self.path_vertex_set]
         ent = []
         for X in combinations(allowed, self.d):
             K = tuple(sorted(rec.jset + X))
-            ent.append((chain64(self.sigk_key, K), K, X))
+            if not self._q4_dead(K):
+                ent.append((chain64(self.sigk_key, K), K, X))
         ent.sort()
         return ent
 
@@ -452,7 +455,8 @@ class PathFinder:
         return ("exhausted",)
 
     def _audit_candidate(self, rec: ActiveRecord, X: tuple) -> None:
-        fam = allowed_candidates(self)
+        last = rec.order[rec.idx - 1][:2] if rec.idx else ()  # () precedes every entry
+        fam = [e[2] for e in self._scalar_order(rec) if e[:2] > last]
         assert fam and fam[0] == X, f"scan order diverged: {X} vs {fam[:1]}"
 
     def _q4_mask(self, J: tuple, xcols: list[np.ndarray]) -> np.ndarray:
@@ -679,13 +683,9 @@ def allowed_candidates(finder: PathFinder) -> list[tuple]:
         raise ValueError("no active j-set")
     rec = finder.stack[-1]
     if rec.order is not None:
-        ent = rec.order[rec.idx:]
-        return [X for _, K, X in ent if not finder._q4_dead(K)]
-    ent = finder._scalar_order(rec)
-    if rec.cursor is not None:
-        ch, crow = rec.cursor
-        ent = [e for e in ent if (e[0], e[1]) > (ch, crow)]
-    return [X for _, K, X in ent if not finder._q4_dead(K)]
+        return [X for _, K, X in rec.order[rec.idx:] if not finder._q4_dead(K)]
+    last = rec.cursor or ()  # () precedes every entry
+    return [e[2] for e in finder._scalar_order(rec) if e[:2] > last]
 
 
 def retreat(finder: PathFinder) -> PathFinder:

@@ -172,6 +172,25 @@ def test_sweep_prints_rows_without_outputs(tmp_path, capsys):
     assert all(line.split(",")[0] == "20" for line in lines)
 
 
+def test_sweep_config_key_errors_exit_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    for body, word in [("k=3\nj=2\nn=20\neps=0.3\ntrails=3\n", "'trails'"),
+                       ("k=3\nj=2\neps=0.3\n", "'n'")]:
+        cfg.write_text(body)
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and word in err and err.count("\n") == 1
+
+
+def test_sweep_config_may_set_sweep_flags(tmp_path, capsys):
+    out_csv = tmp_path / "rows.csv"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"k=3\nj=2\nn=20\neps=0.3\ntrials=2\nout={out_csv}\n")
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (0, "wrote 2 rows to " + str(out_csv) + "\n")
+    assert len(read_csv(out_csv)) == 2
+
+
 def test_sweep_unknown_preset(capsys):
     code, _, err = run_cli(capsys, "sweep", "--preset", "warp")
     assert code == 1

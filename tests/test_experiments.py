@@ -85,6 +85,19 @@ def test_spec_from_config():
     assert defaults.enabled == ("S1", "S2", "S3", "S4")
 
 
+def test_spec_from_config_names_a_missing_required_key():
+    for key in ("k", "j", "n", "eps"):
+        cfg = {"k": "3", "j": "1", "n": "50", "eps": "0.5"}
+        del cfg[key]
+        with pytest.raises(ValueError, match=f"missing required key '{key}'"):
+            SweepSpec.from_config(cfg)
+
+
+def test_spec_from_config_names_an_unknown_key():
+    with pytest.raises(ValueError, match="unknown sweep config key 'trails'"):
+        SweepSpec.from_config({"k": "3", "j": "1", "n": "50", "eps": "0.5", "trails": "3"})
+
+
 def test_zero_trials_gives_an_empty_sweep():
     assert run_sweep(small_spec(trials=0)) == []
 

@@ -147,6 +147,62 @@ def test_allowed_candidates_requires_active_jset():
         retreat(finder)
 
 
+def walk(finder):
+    """Yield the finder before each scan step of an unbounded run."""
+    while True:
+        if not finder.stack:
+            if not finder._new_start():
+                return
+            continue
+        yield finder
+        assert finder._step() is None
+
+
+def brute_order(finder):
+    """Every X disjoint from the path whose K = J u X holds no explored j-set,
+    sorted by (priority, K), built from the definitions."""
+    J = finder.stack[-1].jset
+    ent = []
+    for X in combinations(range(finder.n), finder.d):
+        K = tuple(sorted(J + X))
+        if finder.path_vertex_set.isdisjoint(X) and not any(
+                set(E) <= set(K) for E in finder.explored):
+            ent.append((chain64(finder.sigk_key, K), K, X))
+    return sorted(ent, key=lambda e: (e[0], e[1]))
+
+
+def test_scalar_order_hashes_only_live_candidates(monkeypatch):
+    import tightpath.pathfinder as pf
+
+    calls = []
+
+    def spy(key, K):
+        calls.append(K)
+        return chain64(key, K)
+
+    monkeypatch.setattr(pf, "chain64", spy)
+    for n, k, j, p in [(9, 3, 1, 0.08), (9, 3, 2, 0.25), (9, 4, 2, 0.06), (9, 5, 3, 0.1)]:
+        H = generate_explicit(n, k, p, seed=1)
+        pruned = 0
+        for a, c in zip(walk(PathFinder(H, j, seed=1)),
+                        walk(PathFinder(H, j, seed=1, mode="checked"))):
+            if not a.explored:
+                continue
+            want = brute_order(a)
+            calls.clear()
+            got = a._scalar_order(a.stack[-1])
+            assert got == want
+            assert len(calls) == len(got)
+            pruned += len(got) < math.comb(n - len(a.path_vertex_set), a.d)
+            # still queryable: every live candidate past the last one queried
+            rec = c.stack[-1]
+            last = None if rec.order is None else rec.order[rec.idx - 1][:2]
+            assert last == a.stack[-1].cursor
+            left = [X for h, K, X in want if last is None or (h, K) > last]
+            assert allowed_candidates(a) == allowed_candidates(c) == left
+        assert pruned, (k, j)
+
+
 def test_retreat_explores_a_spent_start():
     finder = PathFinder(empty_H(6), j=2, mode="generic")
     finder._new_start()
@@ -395,9 +451,12 @@ def test_audit_mode_agrees_with_scan_order():
         H = generate_explicit(10, 3, 0.15, seed=seed)
         tr = run(H, 3, 2, seed=seed, audit=True)
         assert tr.stop_reason == "exhausted"
-    H = generate_explicit(12, 5, 0.05, seed=1)
-    tr = run(H, 5, 2, seed=1, audit=True)
-    assert tr.stop_reason == "exhausted"
+    for n, k, j, p in [(12, 5, 2, 0.05), (11, 3, 1, 0.05), (9, 4, 2, 0.06),
+                       (8, 4, 3, 0.3), (8, 5, 3, 0.15)]:
+        H = generate_explicit(n, k, p, seed=1)
+        tr = run(H, k, j, seed=1, audit=True)
+        assert tr.stop_reason == "exhausted"
+        assert tr.positives > 0 and tr.explored > 1
 
 
 def test_search_never_beats_the_oracle():
