@@ -72,9 +72,14 @@ def coin_threshold(p: float) -> int:
     A hash h is a success iff h < threshold; threshold/2^64 equals p up to
     one part in 2^64.
     """
+    check_probability(p)
+    return min(round(p * (1 << 64)), 1 << 64)
+
+
+def check_probability(p: float) -> None:
+    """Raise ValueError unless 0 <= p <= 1 (NaN included)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    return min(round(p * (1 << 64)), 1 << 64)
 
 
 # numpy counterparts; identical arithmetic on uint64 arrays.

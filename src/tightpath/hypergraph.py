@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import contextlib
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import MASK64, chain64, chain64_np, coin_mask_np, coin_threshold, derive_key, mix64
+from ._rng import chain64, chain64_np, check_probability, coin_mask_np, coin_threshold, derive_key, mix64
 
 ENUMERATION_BUDGET = 10**8
+MATERIALIZE_CAP = 5 * 10**7  # most edges sample_explicit will draw
 
 
 class EnumerationBudgetError(ValueError):
@@ -42,12 +44,13 @@ def canonical_kset(vertices: Iterable[int]) -> tuple[int, ...]:
 
 
 def _check_canonical(K: Sequence[int], k: int, n: int) -> None:
+    if len(K) == k and 0 <= K[0] and K[-1] < n and all(map(operator.lt, K, K[1:])):
+        return  # one expression on the hot path; the messages below say what failed
     if len(K) != k:
         raise ValueError(f"expected a {k}-set, got {len(K)} vertices")
     if K[0] < 0 or K[-1] >= n:
         raise ValueError(f"vertices out of range [0, {n}): {K}")
-    if any(K[i] >= K[i + 1] for i in range(k - 1)):
-        raise ValueError(f"vertex set must be strictly increasing: {K}")
+    raise ValueError(f"vertex set must be strictly increasing: {K}")
 
 
 def colex_tables(n: int, m: int) -> list[np.ndarray]:
@@ -237,6 +240,58 @@ def generate_explicit(
     return ExplicitHypergraph(n, k, rows)
 
 
+@lru_cache(maxsize=8)
+def _binom_window(N: int, p: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, w, c) for Binomial(N, p), 0 < p < 1: the weights w of x = lo, lo+1, ...
+    up to 20 sd (plus 20) either side of the mode, clipped to [0, N] and scaled
+    so the mode's weight is 1, and their running sums c. The mass outside is
+    below 1e-20 of the total.
+
+    Raises before allocating when the whole window lies above MATERIALIZE_CAP.
+    The arrays are read-only: the cache hands them to every caller.
+    """
+    mode = min(int((N + 1) * p), N)
+    half = int(20 * math.sqrt(N * p * (1 - p))) + 20
+    lo, hi = max(0, mode - half), min(N, mode + half)
+    if lo > MATERIALIZE_CAP:
+        raise ValueError(f"sampled edge count >= {lo} too large to materialize")
+    odds = p / (1 - p)
+    down = np.arange(mode - 1, lo - 1, -1, dtype=np.float64)  # pmf(x) / pmf(x + 1)
+    up = np.arange(mode + 1, hi + 1, dtype=np.float64)  # pmf(x) / pmf(x - 1)
+    w = np.concatenate([np.cumprod((down + 1) / (N - down) / odds)[::-1], [1.0],
+                        np.cumprod((N + 1 - up) / up * odds)])
+    c = np.cumsum(w)
+    w.flags.writeable = c.flags.writeable = False
+    return lo, w, c
+
+
+def _binom_quantile(u: float, N: int, p: float) -> int:
+    """The least x with CDF(x) >= u for Binomial(N, p), 0 < p < 1."""
+    if u >= 1.0:
+        return N
+    lo, w, c = _binom_window(N, p)
+    t = u * c[-1]
+    i = int(np.searchsorted(c, t))  # least i with c[i] >= t
+    if min(c[i] - t, t - (c[i - 1] if i else 0.0)) < 1e-9 * c[-1]:
+        # Within cumsum's rounding of a step: settle on correctly rounded
+        # partial sums, which are monotone in i.
+        ws = w.tolist()
+        t = u * math.fsum(ws)
+        while i > 0 and math.fsum(ws[:i]) >= t:
+            i -= 1
+        while i < len(ws) - 1 and math.fsum(ws[:i + 1]) < t:
+            i += 1
+    return lo + i
+
+
+def _sampled_edge_count(total: int, p: float, seed: int) -> int:
+    """sample_explicit's Binomial(total, p) edge count for ``seed``."""
+    if not 0.0 < p < 1.0:
+        return round(p * total)
+    u = (mix64(derive_key(seed, "edge-count")) + 0.5) / 2.0**64
+    return _binom_quantile(u, total, p)
+
+
 def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
     """Draw H^k(n,p) by sampling its edge count and then distinct edge ranks.
 
@@ -244,16 +299,19 @@ def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
     count) and deterministic in ``seed``, but not coin-compatible with the
     lazy backend. Intended for sparse instances where C(n,k) is unenumerable
     while p*C(n,k) is small.
-    """
-    from scipy.stats import binom
 
+    The count is the inverse CDF at u = (h + 1/2) / 2^64, h a keyed hash of
+    ``seed``: the least x with P(Bin(C(n,k), p) <= x) >= u. The CDF is summed
+    in float64 over pmf ratios in a window of 20 sd (plus 20) either side of
+    the mode, with correctly rounded sums wherever u falls within 1e-9 of a
+    step. Counts above MATERIALIZE_CAP raise ValueError.
+    """
+    check_probability(p)
     total = math.comb(n, k)
     if total >= 2**62:
         raise ValueError(f"C({n},{k}) too large to rank-sample")
-    u = (mix64(derive_key(seed, "edge-count")) + 0.5) / 2.0**64
-    count = int(binom.ppf(u, total, p)) if 0.0 < p < 1.0 else int(round(p * total))
-    count = max(0, min(count, total))
-    if count > 5 * 10**7:
+    count = max(0, min(_sampled_edge_count(total, p, seed), total))
+    if count > MATERIALIZE_CAP:
         raise ValueError(f"sampled edge count {count} too large to materialize")
 
     rank_key = derive_key(seed, "edge-ranks")

@@ -91,6 +91,16 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     assert int(stats["max_ell"]) <= length
 
 
+@pytest.mark.parametrize("p", ["1.5", "-0.2", "nan"])
+def test_gen_sample_rejects_a_bad_probability(tmp_path, capsys, p):
+    code, out, err = run_cli(capsys, "gen", "--sample", "-k", "3", "-n", "6", "-p", p,
+                             "--out", str(tmp_path / "h.txt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: probability out of range")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "h.txt").exists()
+
+
 def test_run_arity_mismatch(tmp_path, capsys):
     hpath = tmp_path / "h.txt"
     run_cli(capsys, "gen", "-k", "3", "-n", "10", "-p", "0.1", "--out", str(hpath))

@@ -3,15 +3,23 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import tightpath
+from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
     BackendError,
     EnumerationBudgetError,
     ExplicitHypergraph,
     LazyHypergraph,
+    _binom_quantile,
+    _sampled_edge_count,
     canonical_kset,
     colex_tables,
     edge_count,
@@ -65,6 +73,24 @@ def test_canonical_validation():
         ExplicitHypergraph(2, 3, [])
     with pytest.raises(ValueError):
         LazyHypergraph(2, 3, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExplicitHypergraph(6, 3, [(0, 1, 2)]),
+    lambda: LazyHypergraph(6, 3, 0.5, seed=0),
+])
+def test_query_edge_raises_each_canonical_message(make):
+    H = make()
+    for K, message in [
+        ((0, 1), "expected a 3-set, got 2 vertices"),
+        ((0, 2, 6), r"vertices out of range \[0, 6\): \(0, 2, 6\)"),
+        ((-1, 2, 3), r"vertices out of range \[0, 6\): \(-1, 2, 3\)"),
+        ((2, 1, 3), r"strictly increasing: \(2, 1, 3\)"),
+        ((1, 3, 3), r"strictly increasing: \(1, 3, 3\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            H.query_edge(K)
+    assert H.query_edge([0, 1, 2]) in (True, False)
 
 
 def test_lazy_repeat_query_is_stable():
@@ -212,6 +238,81 @@ def test_sample_explicit_extremes():
     assert sample_explicit(9, 3, 0.0, seed=1).edge_count == 0
     full = sample_explicit(6, 3, 1.0, seed=1)
     assert full.edges == frozenset(all_ksets(6, 3))
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan])
+def test_sample_explicit_rejects_a_bad_probability(p):
+    with pytest.raises(ValueError, match="probability out of range"):
+        sample_explicit(6, 3, p, seed=1)
+
+
+def test_sample_explicit_refuses_a_count_above_the_cap_before_building_it():
+    # mean 6.7e8 edges: the whole quantile window lies above the 5e7 cap
+    with pytest.raises(ValueError, match="sampled edge count >= .* too large"):
+        sample_explicit(2000, 3, 0.5, seed=1)
+
+
+# Points (n, k, j, eps) at p = (1 + eps) p0, and the sha256 of the counts of
+# seeds 0..9999 as recorded with scipy.stats.binom.ppf before the sampler
+# became numpy-only. (100, 3, 2, -0.3) is also perfbench's warm-up trial.
+SAMPLED_COUNT_PINS = [
+    ((2000, 3, 2, -0.3), "e4c33f6ba897644cd616f127a619178ea3eb35d87dcd3e5d1f24182f0b4193a8"),
+    ((1000, 3, 2, -0.3), "5350f1fa1d9c28129f0c960e1053d519fd328125d53a03ad5383a9bcb8181f07"),
+    ((600, 3, 2, -0.3), "c975e6d9ecc1dccfa9d8eeffcf52ae40599183a1ef0b76e98af2eb04650c0093"),
+    ((100, 3, 2, -0.3), "ade2cbdcbc50af0d07a188bf7c8ae0d914dec20a4addd18f14bc9142cdc88e76"),
+    ((30, 3, 2, -0.3), "d9a275580ad108e23e9f1dde61a45b5378d699500ba2ff2af6778249feb831c8"),
+    ((200, 4, 3, -0.5), "6ea3e101819628992e364640b39b1465fad2032a01259c11d5e3913560a4f485"),
+    ((14, 3, 2, 0.5), "d8eebae2b0614852f91108e157fce484d15b63d4b4926a880e1aaccba935ab19"),
+    ((60, 3, 2, 0.3), "0d35412c54d00df39b0ec961054e72c13ac5fd673a8074cc3400ad69407ca6ea"),
+]
+
+
+@pytest.mark.parametrize("point,digest", SAMPLED_COUNT_PINS,
+                         ids=["-".join(map(str, pt)) for pt, _ in SAMPLED_COUNT_PINS])
+def test_sampled_edge_counts_are_pinned(point, digest):
+    n, k, j, eps = point
+    total, p = math.comb(n, k), (1 + eps) * threshold_p0(n, k, j)
+    counts = [_sampled_edge_count(total, p, seed) for seed in range(10_000)]
+    assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
+
+
+def test_binom_quantile_matches_the_exact_rational_cdf(monkeypatch):
+    """Least x with CDF(x) >= u, against exact fractions; u within 1e-12 of
+    every step (relative) takes the correctly rounded path."""
+    fsum_calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: fsum_calls.append(1) or fsum(xs))
+    for N, p in [(1, 0.3), (7, 0.9), (200, 5e-5), (50, 0.01), (60, 0.5), (364, 0.125)]:
+        P, acc, cdf = Fraction(p), Fraction(0), []
+        for x in range(N + 1):
+            acc += math.comb(N, x) * P**x * (1 - P) ** (N - x)
+            cdf.append(acc)
+        us = [float(c) * f for c in cdf for f in (1 - 1e-12, 1 + 1e-12)]
+        us += [i / 97 for i in range(1, 97)]
+        for u in us:
+            if 0.0 < u < 1.0:
+                want = next(x for x, c in enumerate(cdf) if c >= Fraction(u))
+                assert _binom_quantile(u, N, p) == want, (N, p, u)
+    assert fsum_calls
+    assert _binom_quantile(1.0, 364, 0.125) == 364
+
+
+def test_subcritical_trial_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(tightpath.__file__))
+    code = (
+        "import sys\n"
+        "import tightpath\n"
+        "from tightpath.combinatorics import threshold_p0\n"
+        "from tightpath.hypergraph import sample_explicit\n"
+        "from tightpath.oracle import longest_path_exact\n"
+        "H = sample_explicit(600, 3, 0.7 * threshold_p0(600, 3, 2), seed=1)\n"
+        "assert not longest_path_exact(H, 2).censored\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sample_explicit_edge_count_mean():

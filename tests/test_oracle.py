@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from tightpath.combinatorics import JTightPath, path_vertex_count, z_ell
+from tightpath.combinatorics import JTightPath, path_vertex_count, threshold_p0, z_ell
 from tightpath.hypergraph import ExplicitHypergraph, generate_explicit, sample_explicit
 from tightpath.oracle import (
     OracleResult,
@@ -148,6 +148,24 @@ def test_dfs_oracle_outputs_are_pinned():
         H = generate_explicit(n, k, p, seed=seed)
         res = longest_path_exact(H, j, node_budget=budget, method="dfs")
         assert (res.length, res.nodes, res.censored, tuple(res.witness.vertices)) == want
+
+
+@pytest.mark.parametrize("k,j,n", [(3, 1, 16), (3, 2, 11), (4, 3, 10)])
+def test_exact_optimum_is_monotone_in_p(k, j, n):
+    """One seed's generate_explicit instances are nested in p (the coin
+    threshold is monotone in p), so the exact optimum cannot fall as c grows."""
+    p0 = threshold_p0(n, k, j)
+    grew = False
+    for seed in range(30):
+        lengths = []
+        for c in (0.5, 1, 1.5, 2, 3):
+            res = longest_path_exact(generate_explicit(n, k, c * p0, seed=seed), j,
+                                     node_budget=10**6)
+            assert not res.censored, (seed, c)
+            lengths.append(res.length)
+        assert lengths == sorted(lengths), (seed, lengths)
+        grew |= lengths[0] < lengths[-1]
+    assert grew
 
 
 def test_method_validation():
