@@ -1,8 +1,8 @@
 """Two interchangeable edge oracles for the binomial random hypergraph.
 
 ExplicitHypergraph stores the full edge set as one sorted (m, k) int64 row
-array and builds its frozenset of tuples only on first use (small n,
-comparable against the exact search). LazyHypergraph answers "is this k-set an edge" by flipping a
+array and builds its frozenset of tuples, for membership tests, only on first
+use. LazyHypergraph answers "is this k-set an edge" by flipping a
 keyed coin on first query, realizing H^k(n,p) under the search's guarantee
 that no k-set is queried twice. Both use the same coin function, so a run on
 either backend with equal seeds sees identical edges.
@@ -30,10 +30,6 @@ MATERIALIZE_CAP = 5 * 10**7  # most edges sample_explicit will draw
 
 class EnumerationBudgetError(ValueError):
     """The k-set space is too large to enumerate; use the lazy backend."""
-
-
-class BackendError(TypeError):
-    """Operation not supported by this hypergraph backend."""
 
 
 def canonical_kset(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -93,8 +89,9 @@ class ExplicitHypergraph:
     """Immutable stored k-uniform hypergraph on [0, n).
 
     The storage is one (m, k) int64 array of distinct edges in lexicographic
-    row order. ``edges``, the frozenset of vertex tuples that ``query_edge``
-    and the DFS oracle use, is built from it on first use.
+    row order; code that walks the edges reads that order. ``edges``, the
+    frozenset of vertex tuples that ``query_edge`` tests membership in, is
+    built from it on first use, and no reader depends on its iteration order.
     """
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
@@ -116,9 +113,7 @@ class ExplicitHypergraph:
 
     @cached_property
     def edges(self) -> frozenset:
-        # The DFS oracle follows this set's iteration order, which depends on
-        # insertion order: insert in colex order, as both generators emit edges.
-        return frozenset(set(map(tuple, self._rows[np.lexsort(self._rows.T)].tolist())))
+        return frozenset(map(tuple, self._rows.tolist()))
 
     @cached_property
     def _packed(self) -> np.ndarray:
@@ -198,16 +193,6 @@ class LazyHypergraph:
 
     def bulk_query(self, cols: Sequence[np.ndarray]) -> np.ndarray:
         return coin_mask_np(chain64_np(self.edge_key, cols), self.threshold)
-
-
-def query_edge(H, K: Sequence[int]) -> bool:
-    return H.query_edge(K)
-
-
-def edge_count(H) -> int:
-    if isinstance(H, LazyHypergraph):
-        raise BackendError("edge_count is undefined on the lazy backend")
-    return H.edge_count
 
 
 def generate_explicit(

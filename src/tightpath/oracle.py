@@ -4,7 +4,9 @@ Three reference computations that everything else is checked against:
 exact longest j-tight path by exhaustive backtracking (with a node budget
 and an explicit censored flag), exact equivalence-class sizes by permutation
 enumeration, and Monte-Carlo estimation of the expected number of path
-classes. A vectorized level-by-level enumerator handles sparse large-n
+classes. The first two share one depth-first walk over every path, taken in
+the sorted order of the edge rows, so their results depend on the edge set
+alone. A vectorized level-by-level enumerator handles sparse large-n
 instances when the overlap leaves one fresh vertex per edge: its paths are
 int32 rows, and a group-id index finds their completions with no search.
 """
@@ -12,12 +14,13 @@ int32 rows, and a group-id index finds their completions with no search.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
-from ._rng import chain64_np, coin_mask_np, coin_threshold, derive_key, mix64
+from ._rng import chain64_np, coin_mask_np, coin_threshold, derive_key
 from .combinatorics import JTightPath, path_vertex_count, structural_params
 from .hypergraph import ExplicitHypergraph, pack_rows
 
@@ -73,25 +76,18 @@ class OracleResult:
     nodes: int
 
 
-def _completions_index(H: ExplicitHypergraph, j: int) -> dict:
-    """Map each j-subset of an edge to the sorted complements completing it."""
-    idx: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for e in H.edges:
-        for jsub in combinations(e, j):
-            rest = tuple(v for v in e if v not in jsub)
-            idx.setdefault(jsub, []).append(rest)
-    return idx
-
-
 def longest_path_exact(
     H: ExplicitHypergraph, j: int, node_budget: int = 5_000_000, method: str = "auto"
 ) -> OracleResult:
     """Exhaustive longest j-tight path in an explicit hypergraph.
 
-    Backtracks over vertex sequences, appending k-j vertices per edge and
-    checking every completed window for membership. ``node_budget`` caps the
-    number of extension attempts; exceeding it returns the best path found so
-    far with censored=True rather than a silently wrong optimum.
+    Backtracks over vertex sequences, appending the k-j new vertices of each
+    edge that completes the current tail. ``node_budget`` caps the number of
+    extension attempts (``nodes``); exceeding it returns the best path found
+    so far with censored=True rather than a silently wrong optimum. A censored
+    "dfs" run reports nodes = node_budget + 1, the attempt that tripped the
+    budget; a censored "levels" run reports the nodes of its completed levels,
+    at most node_budget.
 
     method: "auto" picks the vectorized level enumerator when k-j == 1 and
     the tail space packs into 62 bits, otherwise the recursive search; "dfs"
@@ -110,51 +106,66 @@ def longest_path_exact(
     return _longest_path_dfs(H, j, node_budget)
 
 
-def _longest_path_dfs(H: ExplicitHypergraph, j: int, node_budget: int) -> OracleResult:
-    k, n = H.k, H.n
-    d = k - j
-    idx = _completions_index(H, j)
-    best_seq = list(range(j))  # a bare j-set is always a length-0 path
-    best_len = 0
-    nodes = 0
-    censored = False
+class _Censored(Exception):
+    """Raised by the DFS oracle's visitor to end the walk at its node budget."""
 
-    def search(seq: list[int], used: set[int], ell: int) -> None:
-        nonlocal best_seq, best_len, nodes, censored
-        if censored:
-            return
-        if ell > best_len:
-            best_len = ell
-            best_seq = list(seq)
-        tail = tuple(sorted(seq[-j:]))
-        for rest in idx.get(tail, ()):
-            if any(v in used for v in rest):
+
+def _walk(H: ExplicitHypergraph, j: int, visit: Callable[[list[int], int], bool]) -> None:
+    """Visit every j-tight path of H in pre-order, as ``visit(seq, ell) -> descend?``.
+
+    ``seq`` is the path's vertex sequence with its first k-j vertices in
+    increasing order: their other orders give the same edges, so each such
+    sequence stands for (k-j)! of them. First edges, and the completions of
+    each tail, are taken in the lexicographic row order of ``H.edge_array()``,
+    so the walk depends on the edge set alone. ``seq`` is only valid during
+    the call.
+    """
+    d = H.k - j
+    rows = H.edge_array().tolist()
+    idx: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for e in rows:  # each j-subset of an edge maps to the complements completing it
+        for jsub in combinations(e, j):
+            idx.setdefault(jsub, []).append(tuple(v for v in e if v not in jsub))
+
+    def extend(seq: list[int], used: set[int], ell: int) -> None:
+        for rest in idx.get(tuple(sorted(seq[-j:])), ()):
+            if not used.isdisjoint(rest):
                 continue
             for ordering in permutations(rest):
-                nodes += 1
-                if nodes > node_budget:
-                    censored = True
-                    return
                 seq.extend(ordering)
                 used.update(ordering)
-                search(seq, used, ell + 1)
+                if visit(seq, ell + 1):
+                    extend(seq, used, ell + 1)
                 del seq[-d:]
                 used.difference_update(ordering)
 
-    for e in sorted(H.edges):
+    for e in rows:
         for tail in permutations(e, j):
-            head = sorted(v for v in e if v not in tail)
-            seq = head + list(tail)
-            nodes += 1
-            if nodes > node_budget:
-                censored = True
-                break
-            search(seq, set(seq), 1)
-        if censored:
-            break
+            seq = [v for v in e if v not in tail] + list(tail)
+            if visit(seq, 1):
+                extend(seq, set(seq), 1)
 
-    witness = JTightPath(k, j, tuple(best_seq))
-    return OracleResult(best_len, witness, censored, nodes)
+
+def _longest_path_dfs(H: ExplicitHypergraph, j: int, node_budget: int) -> OracleResult:
+    best_seq = list(range(j))  # a bare j-set is always a length-0 path
+    best_len = 0
+    nodes = 0
+
+    def visit(seq: list[int], ell: int) -> bool:
+        nonlocal best_seq, best_len, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _Censored
+        if ell > best_len:
+            best_len, best_seq = ell, list(seq)
+        return True
+
+    try:
+        _walk(H, j, visit)
+        censored = False
+    except _Censored:
+        censored = True
+    return OracleResult(best_len, JTightPath(H.k, j, tuple(best_seq)), censored, nodes)
 
 
 def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> OracleResult:
@@ -228,53 +239,22 @@ def enumerate_path_classes(H: ExplicitHypergraph, j: int, ell: int) -> tuple[int
     Classes are keyed by their edge set; the labeled count is the number of
     vertex sequences, which must be class count times z_ell.
     """
-    k = H.k
     if ell == 0:
         return math.comb(H.n, j), math.perm(H.n, j)
-    if ell == 2:
-        # a 2-path is exactly an unordered pair of edges meeting in j vertices
-        classes = 0
-        edges = sorted(H.edges)
-        for x, e in enumerate(edges):
-            se = set(e)
-            for f in edges[x + 1 :]:
-                if len(se.intersection(f)) == j:
-                    classes += 1
-        from .combinatorics import z_ell
-
-        return classes, classes * z_ell(k, j, 2)
-
-    idx = _completions_index(H, j)
-    d = k - j
+    k, d = H.k, H.k - j
     classes: set[frozenset[frozenset[int]]] = set()
     labeled = 0
 
-    def search(seq: list[int], used: set[int], edges: list[frozenset[int]], m: int) -> None:
+    def visit(seq: list[int], m: int) -> bool:
         nonlocal labeled
-        if m == ell:
-            labeled += 1
-            classes.add(frozenset(edges))
-            return
-        tail = tuple(sorted(seq[-j:]))
-        for rest in idx.get(tail, ()):
-            if any(v in used for v in rest):
-                continue
-            for ordering in permutations(rest):
-                seq.extend(ordering)
-                used.update(ordering)
-                edges.append(frozenset(seq[-k:]))
-                search(seq, used, edges, m + 1)
-                edges.pop()
-                del seq[-d:]
-                used.difference_update(ordering)
+        if m < ell:
+            return True
+        labeled += 1
+        classes.add(frozenset(frozenset(seq[i * d : i * d + k]) for i in range(ell)))
+        return False
 
-    for e in sorted(H.edges):
-        for tail in permutations(e, j):
-            head = sorted(v for v in e if v not in tail)
-            seq = head + list(tail)
-            search(seq, set(seq), [frozenset(e)], 1)
-    # each labeled sequence has one canonical head-block order per edge walk;
-    # the head block's (k-j)! orders were collapsed, restore them for ell>=1
+    _walk(H, j, visit)
+    # the walk fixes the order of each path's head block; restore its (k-j)! orders
     labeled *= math.factorial(d)
     return len(classes), labeled
 
@@ -285,8 +265,8 @@ def expectation_monte_carlo(
     """Sample mean and standard error of the number of length-ell classes.
 
     Draws explicit hypergraphs with the keyed coin and counts equivalence
-    classes per sample. The (k=3-like) two-edge case is counted directly from
-    the coin matrix; other shapes enumerate per sample.
+    classes per sample. The ell = 2 case, for every (k, j), is counted directly
+    from the coin matrix; other lengths enumerate per sample.
     """
     if n > 12:
         raise ValueError(f"Monte-Carlo estimation supports n <= 12, got {n}")

@@ -14,7 +14,6 @@ import pytest
 import tightpath
 from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
-    BackendError,
     EnumerationBudgetError,
     ExplicitHypergraph,
     LazyHypergraph,
@@ -22,10 +21,8 @@ from tightpath.hypergraph import (
     _sampled_edge_count,
     canonical_kset,
     colex_tables,
-    edge_count,
     generate_explicit,
     pack_rows,
-    query_edge,
     sample_explicit,
     unrank_colex,
 )
@@ -185,16 +182,6 @@ def test_edge_array_sorted_and_write_read_roundtrip(tmp_path):
     empty.write_text(str(path))
     H3 = ExplicitHypergraph.read_text(str(path))
     assert (H3.n, H3.k, H3.edge_count) == (5, 2, 0)
-
-
-def test_module_level_dispatch_and_lazy_edge_count():
-    He = ExplicitHypergraph(6, 3, [(0, 1, 2)])
-    Hl = LazyHypergraph(6, 3, 0.5, seed=0)
-    assert query_edge(He, (0, 1, 2)) is True
-    assert query_edge(Hl, (0, 1, 2)) in (True, False)
-    assert edge_count(He) == 1
-    with pytest.raises(BackendError):
-        edge_count(Hl)
 
 
 def test_relabeled_preserves_structure():

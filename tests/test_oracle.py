@@ -1,8 +1,10 @@
 """Brute-force reference computations: z counts, longest paths, class counts."""
 
 import math
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from tightpath.combinatorics import JTightPath, path_vertex_count, threshold_p0, z_ell
@@ -138,16 +140,48 @@ def test_levels_oracle_outputs_are_pinned():
 
 
 def test_dfs_oracle_outputs_are_pinned():
-    """The DFS oracle walks completions in the iteration order of ``H.edges``;
-    (length, nodes, censored, witness) recorded before instances were arrays."""
+    """(length, nodes, censored, witness) of the DFS oracle, which walks the
+    edges in sorted row order; recorded when that walk replaced one in the
+    iteration order of ``H.edges`` (uncensored lengths and counts unchanged)."""
     for (n, k, j, p, seed, budget), want in {
-        (11, 5, 2, 0.02, 26, 1000): (3, 1002, True, (4, 6, 7, 0, 9, 10, 2, 8, 1, 3, 5)),
-        (11, 5, 2, 0.02, 26, 10**6): (3, 1884, False, (4, 6, 7, 0, 9, 10, 2, 8, 1, 3, 5)),
-        (11, 5, 3, 0.03, 20, 1000): (4, 1003, True, (6, 9, 5, 8, 0, 3, 1, 2, 7, 4, 10)),
+        (11, 5, 2, 0.02, 26, 1000): (3, 1001, True, (4, 6, 7, 0, 9, 10, 1, 8, 2, 3, 5)),
+        (11, 5, 2, 0.02, 26, 10**6): (3, 1884, False, (4, 6, 7, 0, 9, 10, 1, 8, 2, 3, 5)),
+        (11, 5, 3, 0.03, 20, 1000): (4, 1001, True, (6, 9, 5, 8, 0, 3, 1, 2, 7, 4, 10)),
     }.items():
         H = generate_explicit(n, k, p, seed=seed)
         res = longest_path_exact(H, j, node_budget=budget, method="dfs")
         assert (res.length, res.nodes, res.censored, tuple(res.witness.vertices)) == want
+
+
+@pytest.mark.parametrize("n,k,j,p,seed", [(12, 3, 1, 0.04, 2), (11, 5, 2, 0.02, 26), (11, 5, 3, 0.03, 20)])
+def test_censored_dfs_counts_the_tripping_node_only(n, k, j, p, seed):
+    """A censored DFS run stops at its first attempt past the budget."""
+    H = generate_explicit(n, k, p, seed=seed)
+    full = longest_path_exact(H, j, node_budget=10**7, method="dfs")
+    assert not full.censored and full.nodes > 100
+    for budget in [*range(0, full.nodes, full.nodes // 40), full.nodes - 1, full.nodes]:
+        res = longest_path_exact(H, j, node_budget=budget, method="dfs")
+        assert res.censored == (budget < full.nodes), budget
+        assert res.nodes == (budget + 1 if res.censored else full.nodes), budget
+        assert res.length <= full.length
+
+
+@pytest.mark.parametrize("n,k,j,p,seed", [(12, 3, 1, 0.04, 2), (11, 5, 3, 0.03, 20)])
+def test_dfs_and_class_counts_depend_on_the_edge_set_alone(tmp_path, n, k, j, p, seed):
+    edges = [tuple(e) for e in generate_explicit(n, k, p, seed=seed).edge_array().tolist()]
+    shuffled = list(edges)
+    random.Random(seed).shuffle(shuffled)
+    H = ExplicitHypergraph(n, k, edges)
+    H.write_text(str(tmp_path / "h.txt"))
+    variants = [ExplicitHypergraph(n, k, shuffled), ExplicitHypergraph(n, k, edges[::-1]),
+                ExplicitHypergraph(n, k, np.array(shuffled)),
+                ExplicitHypergraph.read_text(str(tmp_path / "h.txt"))]
+    for budget in (500, 10**7):
+        want = longest_path_exact(H, j, node_budget=budget, method="dfs")
+        assert all(longest_path_exact(V, j, node_budget=budget, method="dfs") == want for V in variants)
+    for ell in (1, 2, 3):
+        want = enumerate_path_classes(H, j, ell)
+        assert all(enumerate_path_classes(V, j, ell) == want for V in variants)
 
 
 @pytest.mark.parametrize("k,j,n", [(3, 1, 16), (3, 2, 11), (4, 3, 10)])
@@ -205,6 +239,17 @@ def test_class_counts_complete_pairs():
     classes, labeled = enumerate_path_classes(H, 2, 2)
     assert classes == 30
     assert labeled == 30 * z_ell(3, 2, 2)
+
+
+def test_two_edge_classes_are_edge_pairs_meeting_in_j_vertices():
+    """A 2-path is exactly an unordered pair of edges that share j vertices."""
+    for k, j in [(3, 2), (3, 1), (4, 2)]:
+        for seed in range(4):
+            H = generate_explicit(9, k, 0.25, seed=seed)
+            pairs = sum(len(set(e) & set(f)) == j for e, f in combinations(H.edge_array().tolist(), 2))
+            classes, labeled = enumerate_path_classes(H, j, 2)
+            assert classes == pairs > 0, (k, j, seed)
+            assert labeled == pairs * z_ell(k, j, 2)
 
 
 def test_class_counts_complete_permutation_identity():
