@@ -84,6 +84,10 @@ class SweepSpec:
             raise ValueError("trials must be >= 0")
         if any(e == 0 or abs(e) >= 1 for e in self.eps_values):
             raise ValueError("eps entries must be nonzero with |eps| < 1")
+        if self.query_budget is not None and self.query_budget < 0:
+            raise ValueError(f"query_budget must be >= 0, got {self.query_budget}")
+        if self.node_budget < 0:
+            raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepSpec":

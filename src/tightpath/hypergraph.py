@@ -10,6 +10,9 @@ either backend with equal seeds sees identical edges.
 Also provides a rank-sampling generator for instances whose k-set space is
 too large to enumerate but whose edge list is small (sparse subcritical
 measurements); its instances are not coin-compatible with the lazy backend.
+And it provides Candidates, the k-sets J u X a search step queries from one
+j-set J, laid out so that their coins and priorities hash shared prefixes
+once; the lazy backend's bulk_query takes one.
 """
 
 from __future__ import annotations
@@ -17,12 +20,18 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
+from bisect import bisect_right
+from collections import abc
 from functools import cached_property, lru_cache
+from itertools import accumulate, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._rng import chain64, chain64_np, check_probability, coin_mask_np, coin_threshold, derive_key, mix64
+from ._rng import (
+    MASK64, _mix64_inplace, chain64, chain64_np, check_probability, coin_mask_np,
+    coin_threshold, derive_key, mix64,
+)
 
 ENUMERATION_BUDGET = 10**8
 MATERIALIZE_CAP = 5 * 10**7  # most edges sample_explicit will draw
@@ -85,6 +94,187 @@ def pack_rows(cols: Sequence[np.ndarray], n: int) -> np.ndarray:
     return key
 
 
+def _run_lens(m: int, r: int) -> list[int]:
+    """Rows of the r-subsets of m increasing values that start at value b,
+    for b = 0, 1, ...: C(m-1-b, r-1)."""
+    q = np.arange(m - 1, r - 2, -1, dtype=np.int64)
+    lens = np.ones_like(q)
+    for i in range(r - 1):  # C(q, i+1) = C(q, i) (q-i) / (i+1), exactly
+        lens = lens * (q - i) // (i + 1)
+    return lens.tolist()
+
+
+def subset_cols(xs: np.ndarray, d: int) -> list[np.ndarray]:
+    """The d-subsets of the increasing array xs as d columns of xs's dtype,
+    rows in lexicographic order."""
+    cols = [xs]
+    for r in range(2, d + 1):
+        # An r-subset is xs[b] followed by an (r-1)-subset of xs[b+1:], and
+        # those form the last C(m-1-b, r-1) rows of the (r-1)-subset table.
+        lens = _run_lens(xs.size, r)
+        nxt = [np.repeat(xs[: len(lens)], lens)]
+        nxt += [np.empty(nxt[0].size, dtype=xs.dtype) for _ in cols]
+        lo = 0
+        for size in lens:
+            for dst, src in zip(nxt[1:], cols):
+                dst[lo : lo + size] = src[src.size - size :]
+            lo += size
+        cols = nxt
+    return cols
+
+
+@lru_cache(maxsize=None)
+def _compositions(d: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The compositions of d into parts non-negative parts, reverse lexicographic."""
+    return tuple(c for c in product(range(d, -1, -1), repeat=parts) if sum(c) == d)
+
+
+class _XColumns(abc.Sequence):
+    """The d columns of X of a Candidates, each built on first use."""
+
+    def __init__(self, cands: "Candidates"):
+        self.cands, self.nrows = cands, cands.nrows
+
+    def __len__(self) -> int:
+        return self.cands.d
+
+    def __getitem__(self, i):
+        return self.cands._cached(True, i)
+
+
+class Candidates(abc.Sequence):
+    """Every K = sorted(J u X) for a j-set J and X over the d-subsets of the
+    increasing free vertices xs (d >= 1, xs disjoint from J), in blocks.
+
+    J's vertices u_1 < ... < u_j cut xs into gaps G_0 .. G_j. A block is one
+    composition (c_0, ..., c_j) of d, in reverse lexicographic order; its
+    rows are the product of the lexicographic c_t-subsets of each G_t, G_0
+    outermost, so J's vertices sit at fixed positions of its K. With d = 1
+    the blocks are the gaps, so the rows are xs in order.
+
+    As a sequence it is K's k columns, of xs's dtype, in block order, each
+    built on first use; ``xcols()`` gives X's d columns the same way, and
+    ``row(i)``/``xrow(i)`` one row's K and X. ``hash(key)`` is chain64(key,
+    K) of every row, bit for bit, without building K: each prefix state is
+    hashed at the coarsest level where it is constant. J's vertices ahead of
+    a block's first X vertex are hashed once per block, a gap table's first
+    column once per run of equal values, and each later gap as a broadcast
+    axis of an outer product.
+    """
+
+    def __init__(self, J: Sequence[int], xs: np.ndarray, d: int):
+        self.J = tuple(map(int, J))
+        self.xs, self.d, self.k = xs, d, len(self.J) + d
+        bounds = [0, *np.searchsorted(xs, np.array(self.J, dtype=xs.dtype)).tolist(), xs.size]
+        self.gaps = [xs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.blocks = []  # (composition, first row, table size of each gap)
+        self.nrows = 0
+        for c in _compositions(d, len(self.gaps)):
+            sizes = [math.comb(g.size, ct) for g, ct in zip(self.gaps, c)]
+            if math.prod(sizes):
+                self.blocks.append((c, self.nrows, sizes))
+                self.nrows += math.prod(sizes)
+        self._starts = [lo for _, lo, _ in self.blocks]
+        self._tables: dict = {}
+        self._layouts: dict = {}
+        self._cols: dict = {}
+
+    def _table(self, t: int, c: int) -> list[np.ndarray]:
+        if (t, c) not in self._tables:
+            self._tables[t, c] = subset_cols(self.gaps[t], c)
+        return self._tables[t, c]
+
+    def _layout(self, c) -> list:
+        """K's positions in block c: a vertex of J, or (t, column of G_t's table)."""
+        if c not in self._layouts:
+            ent = []
+            for t, ct in enumerate(c):
+                ent += [(t, col) for col in (self._table(t, ct) if ct else ())] + list(self.J[t : t + 1])
+            self._layouts[c] = ent
+        return self._layouts[c]
+
+    def _column(self, x: bool, i: int) -> np.ndarray:
+        """Column i of X (x true) or of K, in block order."""
+        out = np.empty(self.nrows, dtype=self.xs.dtype)
+        for c, lo, sizes in self.blocks:
+            ent = self._layout(c)
+            e = [e for e in ent if isinstance(e, tuple)][i] if x else ent[i]
+            part = out[lo : lo + math.prod(sizes)]
+            if isinstance(e, tuple):  # broadcast along the gap's axis of the block
+                t, col = e
+                part.reshape(sizes)[...] = col.reshape([-1 if a == t else 1 for a in range(len(sizes))])
+            else:
+                part[:] = e
+        return out
+
+    def _cached(self, x: bool, i):
+        n = self.d if x else self.k
+        if isinstance(i, slice):
+            return [self._cached(x, q) for q in range(n)[i]]
+        i = range(n)[i]
+        if (x, i) not in self._cols:
+            self._cols[x, i] = self._column(x, i)
+        return self._cols[x, i]
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __getitem__(self, i):
+        return self._cached(False, i)
+
+    def xcols(self) -> _XColumns:
+        return _XColumns(self)
+
+    def _cells(self, i: int) -> list:
+        """Row i's K as (vertex, whether it is in X) pairs."""
+        c, lo, sizes = self.blocks[bisect_right(self._starts, i) - 1]
+        idx, r = [0] * len(sizes), i - lo
+        for t in reversed(range(len(sizes))):
+            r, idx[t] = divmod(r, sizes[t])
+        return [(int(e[1][idx[e[0]]]), True) if isinstance(e, tuple) else (e, False)
+                for e in self._layout(c)]
+
+    def row(self, i: int) -> tuple:
+        return tuple(v for v, _ in self._cells(i))
+
+    def xrow(self, i: int) -> tuple:
+        return tuple(v for v, in_x in self._cells(i) if in_x)
+
+    def hash(self, key: int) -> np.ndarray:
+        key = int(key) & MASK64
+        if self.d == 1:
+            # One pass over xs, each row keyed by its gap's prefix state, then
+            # u_t absorbed into the rows below it: rows of gap t take u_t+1 .. u_j.
+            pre = accumulate(self.J, lambda s, u: mix64(s ^ (u + 1)), initial=key)
+            h = chain64_np(np.repeat(np.fromiter(pre, np.uint64), [g.size for g in self.gaps]),
+                           [self.xs])
+            tmp = np.empty_like(h)
+            for u, below in zip(self.J, accumulate(g.size for g in self.gaps)):
+                h[:below] ^= np.uint64(u + 1)
+                _mix64_inplace(h[:below], tmp[:below])
+            return h
+        out = np.empty(self.nrows, dtype=np.uint64)
+        for c, lo, sizes in self.blocks:
+            out[lo : lo + math.prod(sizes)] = self._hash_block(key, c)
+        return out
+
+    def _hash_block(self, key: int, c) -> np.ndarray:
+        ts = [t for t, ct in enumerate(c) if ct]
+        h = chain64(key, self.J[: ts[0]])
+        for t, nxt in zip(ts, ts[1:] + [len(c)]):
+            # G_t's table, then J's vertices up to the next nonempty gap
+            tab, us = self._table(t, c[t]), list(self.J[t:nxt])
+            if not isinstance(h, int):  # the rows so far times G_t's rows
+                h = chain64_np(h[:, None], [col[None, :] for col in tab] + us).ravel()
+                continue
+            if len(tab) > 1:  # the first column once per run of equal values
+                lens = _run_lens(self.gaps[t].size, c[t])
+                h = np.repeat(chain64_np(h, [self.gaps[t][: len(lens)]]), lens)
+                tab = tab[1:]
+            h = chain64_np(h, tab + us)
+        return h
+
+
 class ExplicitHypergraph:
     """Immutable stored k-uniform hypergraph on [0, n).
 
@@ -133,7 +323,8 @@ class ExplicitHypergraph:
         return self._rows.copy()
 
     def bulk_query(self, cols: Sequence[np.ndarray]) -> np.ndarray:
-        """Membership mask for many canonical k-sets given as columns."""
+        """Membership mask for many canonical k-sets given as k columns: a
+        list of arrays, or a Candidates, whose K columns are built here."""
         if self.n**self.k > 2**63:  # rows do not pack into int64 keys
             ks = zip(*(np.asarray(c).tolist() for c in cols))
             return np.array([K in self.edges for K in ks], dtype=bool)
@@ -191,8 +382,10 @@ class LazyHypergraph:
             self.revealed[t] = hit
         return hit
 
-    def bulk_query(self, cols: Sequence[np.ndarray]) -> np.ndarray:
-        return coin_mask_np(chain64_np(self.edge_key, cols), self.threshold)
+    def bulk_query(self, cands: Candidates) -> np.ndarray:
+        """Coin mask of every K of a Candidates, in its row order. The coins
+        come from ``cands.hash``, so K's columns are never built."""
+        return coin_mask_np(cands.hash(self.edge_key), self.threshold)
 
 
 def generate_explicit(

@@ -58,6 +58,8 @@ class StoppingConfig:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.target_length < 0:
             raise ValueError("target_length must be >= 0")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
         if any(a >= b for a, b in zip(self.c_ladder, self.c_ladder[1:])):
             raise ValueError("C ladder must be strictly increasing")
 

@@ -86,8 +86,11 @@ def longest_path_exact(
     extension attempts (``nodes``); exceeding it returns the best path found
     so far with censored=True rather than a silently wrong optimum. A censored
     "dfs" run reports nodes = node_budget + 1, the attempt that tripped the
-    budget; a censored "levels" run reports the nodes of its completed levels,
-    at most node_budget.
+    budget; a censored "levels" run reports the nodes of its completed levels.
+    Level 1 (every edge with every ordered tail) is always expanded and
+    counted whole, so that count exceeds node_budget when level 1 alone does;
+    past level 1 it stays at most node_budget. A negative node_budget raises
+    ValueError.
 
     method: "auto" picks the vectorized level enumerator when k-j == 1 and
     the tail space packs into 62 bits, otherwise the recursive search; "dfs"
@@ -95,6 +98,8 @@ def longest_path_exact(
     """
     k = H.k
     structural_params(k, j)
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     if method == "auto":
         method = "levels" if (k - j == 1 and H.n ** j < 2**62) else "dfs"
     if method == "levels":

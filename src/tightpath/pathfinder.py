@@ -23,17 +23,21 @@ edge depends on that block's internal order at that moment.
 
 The generic (scalar) scan carries the invariant checks and full query traces;
 it hashes only candidates that pass Q4. One vectorized scan serves every
-(k, j), observationally identical to it. It builds every candidate of J at
-once, as (k-j)-subsets of the free vertices merged with J into sorted K
-columns, and works in this order: Q4 (from an index of explored j-sets by
-their proper subsets), then the edge coins of all candidates, then the
-priority hashes, but only when Q3 needs them (a resumed scan) or a live
-candidate succeeded. A first scan with no live success would query every live
-candidate in turn, so its query count is the number of live candidates
-whatever their order. The scan reports the queries the scalar scan would
-make, in the same order and with the same cutoffs, so events, counts and
-traces are identical. Its vertex columns are int32, half the memory traffic
-of int64; PathFinder therefore refuses n >= 2^31.
+(k, j), observationally identical to it. It lays out every candidate of J at
+once as a ``hypergraph.Candidates``: the d-subsets of the free vertices
+around J's vertices, in blocks in which J's vertices sit at fixed positions
+of K, so a hash of every K reuses the prefix states its rows share instead
+of hashing k columns per row. It works in this order: Q4 (from an index of
+explored j-sets by their proper subsets), then the edge coins of all
+candidates, then the priority hashes, but only when Q3 needs them (a resumed
+scan) or a live candidate succeeded. A first scan with no live success would
+query every live candidate in turn, so its query count is the number of live
+candidates whatever their order. Nothing depends on the order of the rows:
+the winner is the least (priority, K) among live successes and the query
+count is the number of live rows below it. The scan reports the queries the
+scalar scan would make, in the same order and with the same cutoffs, so
+events, counts and traces are identical. Its vertex columns are int32, half
+the memory traffic of int64; PathFinder therefore refuses n >= 2^31.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 
 from ._rng import chain64, chain64_np, derive_key, mix64
 from .combinatorics import JTightPath, StructuralParams, structural_params
-from .hypergraph import pack_rows
+from .hypergraph import Candidates, _XColumns, pack_rows, subset_cols  # subset_cols: re-exported
 from .monitor import EXHAUSTED, Monitor, StoppingConfig
 
 TRACE_LEVELS = ("summary", "events", "full")
@@ -168,21 +172,6 @@ class _NeutralStream:
             self.limit = min(self.limit * 4, self.total)
             self._ptr = 0
             self._rows = self._build(self.limit)
-
-
-def subset_cols(xs: np.ndarray, d: int) -> list[np.ndarray]:
-    """The d-subsets of the increasing array xs as d columns, rows in
-    lexicographic order."""
-    cols = [xs]
-    m = xs.size
-    for r in range(2, d + 1):
-        # An r-subset is xs[b] followed by an (r-1)-subset of xs[b+1:], and
-        # those form the last C(m-1-b, r-1) rows of the (r-1)-subset table.
-        lens = np.array([math.comb(q, r - 1) for q in range(m - 1, r - 2, -1)], dtype=np.int64)
-        ends = np.cumsum(lens)
-        rows = np.arange(int(lens.sum())) + np.repeat(cols[0].size - ends, lens)
-        cols = [np.repeat(xs[: lens.size], lens)] + [c[rows] for c in cols]
-    return cols
 
 
 @dataclass
@@ -459,10 +448,11 @@ class PathFinder:
         fam = [e[2] for e in self._scalar_order(rec) if e[:2] > last]
         assert fam and fam[0] == X, f"scan order diverged: {X} vs {fam[:1]}"
 
-    def _q4_mask(self, J: tuple, xcols: list[np.ndarray]) -> np.ndarray:
+    def _q4_mask(self, J: tuple, xcols: _XColumns) -> np.ndarray:
         """Q4 for completions of 2 or more vertices: False where X holds an
-        i-set S with T u S explored for some (j-i)-subset T of J."""
-        alive = np.ones(xcols[0].size, dtype=bool)
+        i-set S with T u S explored for some (j-i)-subset T of J. The columns
+        of X are built only if such an explored set exists."""
+        alive = np.ones(xcols.nrows, dtype=bool)
         for i in range(2, min(self.j, self.d) + 1):
             found = [S for T in combinations(J, self.j - i) for S in self.explored_by.get(T, ())]
             if found:
@@ -472,14 +462,11 @@ class PathFinder:
         return alive
 
     @staticmethod
-    def _row(cols: Sequence[np.ndarray], i: int) -> tuple:
-        return tuple(int(col[i]) for col in cols)
-
-    def _cursor_alive(self, rec: ActiveRecord, h: np.ndarray, cols) -> np.ndarray:
+    def _cursor_alive(rec: ActiveRecord, h: np.ndarray, cands: Candidates) -> np.ndarray:
         ch, crow = rec.cursor
         alive = h > np.uint64(ch)
         for i in np.flatnonzero(h == np.uint64(ch)):
-            if self._row(cols, i) > crow:
+            if cands.row(i) > crow:
                 alive[i] = True
         return alive
 
@@ -488,29 +475,25 @@ class PathFinder:
         # when Q3 needs them (a resumed scan) or a live candidate succeeded.
         # Hashing has no side effects, so the order changes no outcome; and a
         # first scan without a success queries every live candidate, so its
-        # query count needs no priorities at all.
+        # query count needs no priorities at all. Nothing depends on the order
+        # of the candidate rows: the winner is the least (priority, K) among
+        # live successes, and the query count is the live rows below it.
         # Q4 for one-vertex completions: drop v where T u {v} is explored for
         # a (j-1)-subset T of J. No dropped candidate is ever queried or counted.
         free = ~self.in_path
         free[[v for T in combinations(rec.jset, self.j - 1)
               for (v,) in self.explored_by.get(T, ())]] = False
-        xcols = subset_cols(np.flatnonzero(free).astype(np.int32), self.d)
-        alive = self._q4_mask(rec.jset, xcols)
-        cols = xcols
-        for u in map(np.int32, rec.jset):  # np.clip(int, ...) would widen to int64
-            # sorted(row + (u,)) is (min(c0, u), u clipped to each gap, max(c_last, u))
-            cols = ([np.minimum(cols[0], u)]
-                    + [np.clip(u, lo, hi) for lo, hi in zip(cols, cols[1:])]
-                    + [np.maximum(cols[-1], u)])
+        cands = Candidates(rec.jset, np.flatnonzero(free).astype(np.int32), self.d)
+        alive = self._q4_mask(rec.jset, cands.xcols())
         h = None
         if rec.cursor is not None:
-            h = chain64_np(self.sigk_key, cols)
-            alive &= self._cursor_alive(rec, h, cols)
+            h = cands.hash(self.sigk_key)
+            alive &= self._cursor_alive(rec, h, cands)
 
         if not alive.any():
             return ("exhausted",)
         t_stop = self._t_stop()
-        succ = alive & self.H.bulk_query(cols)
+        succ = alive & self.H.bulk_query(cands)
         if not succ.any():
             q = int(np.count_nonzero(alive))
             if self.t + q >= t_stop:
@@ -519,21 +502,19 @@ class PathFinder:
             self.t += q
             return ("exhausted",)
         if h is None:
-            h = chain64_np(self.sigk_key, cols)
+            h = cands.hash(self.sigk_key)
         hmin = h[succ].min()
-        tied = np.flatnonzero(succ & (h == hmin))
-        win = min(tied, key=lambda i: self._row(cols, i))
+        wrow, win = min((cands.row(i), i) for i in np.flatnonzero(succ & (h == hmin)))
         q = int(np.count_nonzero(alive & (h < hmin))) + 1
-        wrow = self._row(cols, win)
         for i in np.flatnonzero(alive & (h == hmin)):
-            if i != win and self._row(cols, i) < wrow:
+            if i != win and cands.row(i) < wrow:
                 q += 1
         if self.t + q > t_stop:
             self.t = int(t_stop)
             return ("stop", self.monitor.time_reason(self.t))
         self.t += q
         rec.cursor = (int(hmin), wrow)
-        return ("success", self._row(xcols, win), wrow)
+        return ("success", cands.xrow(win), wrow)
 
     def _scan(self, rec: ActiveRecord):
         if self.mode == "auto" and self.trace_level != "full":

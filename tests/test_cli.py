@@ -118,6 +118,19 @@ def test_run_budget_exit_code(capsys):
     assert stats["queries"] == "5"
 
 
+def test_negative_budgets_exit_1_with_one_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", "-n", "10", "-k", "3", "-p", "0.1",
+                             "-j", "2", "--budget", "-5")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "budget" in err
+    hpath = tmp_path / "h.txt"
+    run_cli(capsys, "gen", "-k", "3", "-n", "8", "-p", "0.5", "--seed", "1", "--out", str(hpath))
+    code, out, err = run_cli(capsys, "oracle", "--hypergraph", str(hpath), "-j", "2",
+                             "--node-budget", "-1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "node_budget" in err
+
+
 def test_run_standard_stopping_flag(capsys):
     code, out, _ = run_cli(capsys, "run", "-n", "40", "-k", "3", "-p", "0.08",
                            "-j", "2", "--stopping", "standard", "--eps", "0.3",

@@ -64,6 +64,11 @@ def test_spec_validation():
         small_spec(eps_values=(1.0,))
     with pytest.raises(ValueError):
         small_spec(eps_values=(-1.2,))
+    with pytest.raises(ValueError, match="query_budget"):
+        small_spec(query_budget=-1)
+    with pytest.raises(ValueError, match="node_budget"):
+        small_spec(node_budget=-1)
+    assert (small_spec(query_budget=0).query_budget, small_spec(node_budget=0).node_budget) == (0, 0)
 
 
 def test_spec_from_config():

@@ -14,6 +14,7 @@ import pytest
 import tightpath
 from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
+    Candidates,
     EnumerationBudgetError,
     ExplicitHypergraph,
     LazyHypergraph,
@@ -123,10 +124,24 @@ def test_bulk_query_matches_scalar_loop():
     Hl = LazyHypergraph(n, k, 0.3, seed=2)
     ks = all_ksets(n, k)
     cols = [np.array([K[i] for K in ks], dtype=np.int64) for i in range(k)]
-    for H in (He, Hl):
-        mask = H.bulk_query(cols)
-        assert mask.tolist() == [H.query_edge(K) for K in ks]
-    assert He.bulk_query(cols).tolist() == Hl.bulk_query(cols).tolist()
+    cands = Candidates((), np.arange(n), k)  # every k-set, rows in lexicographic order
+    assert [cands.row(i) for i in range(cands.nrows)] == ks
+    assert He.bulk_query(cols).tolist() == [He.query_edge(K) for K in ks]
+    assert Hl.bulk_query(cands).tolist() == [Hl.query_edge(K) for K in ks]
+    assert He.bulk_query(cols).tolist() == Hl.bulk_query(cands).tolist()
+
+
+def test_lazy_and_explicit_bulk_query_agree_on_one_candidates():
+    n, k = 16, 4
+    He = generate_explicit(n, k, 0.2, seed=4)
+    Hl = LazyHypergraph(n, k, 0.2, seed=4)
+    for J in [(0,), (3, 9), (14, 15), (0, 7, 15)]:
+        cands = Candidates(J, np.array([v for v in range(n) if v not in J], dtype=np.int32),
+                           k - len(J))
+        mask = Hl.bulk_query(cands)
+        assert mask.tolist() == He.bulk_query(cands).tolist()
+        assert mask.tolist() == [Hl.query_edge(cands.row(i)) for i in range(cands.nrows)]
+        assert mask.any()
 
 
 def test_bulk_query_wide_vertex_range_fallback():

@@ -70,6 +70,11 @@ def test_config_validation():
         StoppingConfig(target_length=-1)
     with pytest.raises(ValueError):
         StoppingConfig(c_ladder=(2.0, 1.0))
+    with pytest.raises(ValueError, match="budget"):
+        StoppingConfig(budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        StoppingConfig.standard(100, 3, 2, eps=0.3, budget=-5)
+    assert StoppingConfig(budget=0).budget == 0
     cfg = StoppingConfig.unbounded()
     assert cfg.enabled == frozenset()
     assert math.isinf(cfg.target_length) and math.isinf(cfg.T0)

@@ -220,6 +220,23 @@ def test_node_budget_censors():
     assert full.length >= res.length
 
 
+def test_negative_node_budget_is_refused():
+    H = generate_explicit(8, 3, 0.5, seed=1)
+    for method in ("dfs", "levels"):
+        with pytest.raises(ValueError, match="node_budget"):
+            longest_path_exact(H, 2, node_budget=-1, method=method)
+
+
+def test_censored_levels_run_counts_level_one_whole():
+    # level 1 holds 138 nodes here; every smaller budget still reports them
+    H = generate_explicit(8, 3, 0.5, seed=1)
+    for budget in range(138):
+        res = longest_path_exact(H, 2, node_budget=budget, method="levels")
+        assert (res.censored, res.nodes) == (True, 138), budget
+    full = longest_path_exact(H, 2, method="levels")
+    assert not full.censored and full.nodes > 138
+
+
 def test_longest_path_relabel_invariant():
     perm = [5, 9, 0, 7, 3, 8, 1, 6, 2, 4]
     for seed in range(5):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath._rng import chain64, chain64_np, derive_key
-from tightpath.hypergraph import ExplicitHypergraph, LazyHypergraph, generate_explicit
+from tightpath.hypergraph import Candidates, ExplicitHypergraph, LazyHypergraph, generate_explicit
 from tightpath.monitor import StoppingConfig
 from tightpath.oracle import longest_path_exact
 from tightpath.pathfinder import (
@@ -337,6 +337,69 @@ def test_subset_cols_lists_subsets_in_lexicographic_order():
         cols = subset_cols(xs, d)
         assert len(cols) == d
         assert list(zip(*(c.tolist() for c in cols))) == list(combinations(xs.tolist(), d))
+
+
+def check_candidates(J, xs, d, key=0x5EED):
+    """Every view of Candidates(J, xs, d) against itertools and scalar chain64."""
+    xs = np.asarray(xs, dtype=np.int32)
+    cands = Candidates(J, xs, d)
+    want = {tuple(sorted(J + X)): X for X in combinations(xs.tolist(), d)}
+    rows = [cands.row(i) for i in range(cands.nrows)]
+    assert sorted(rows) == sorted(want) and len(rows) == len(want)
+    assert [cands.xrow(i) for i in range(cands.nrows)] == [want[K] for K in rows]
+    assert len(cands) == len(J) + d
+    assert all(c.dtype == np.int32 and c.shape == (cands.nrows,) for c in cands)
+    assert list(zip(*(c.tolist() for c in cands))) == rows
+    assert list(zip(*(c.tolist() for c in cands[1:]))) == [K[1:] for K in rows]
+    xcols = cands.xcols()
+    assert (len(xcols), xcols.nrows) == (d, cands.nrows)
+    assert list(zip(*(c.tolist() for c in xcols))) == [want[K] for K in rows]
+    h = cands.hash(key)
+    assert h.dtype == np.uint64
+    assert h.tolist() == [chain64(key, K) for K in rows]
+    assert cands.hash(key).tolist() == h.tolist()  # the cached tables are only read
+    return cands
+
+
+def test_candidates_match_combinations_for_every_shape():
+    n = 9
+    for k in range(2, 6):
+        for j in range(0, k):
+            for J in [tuple(range(j)), tuple(range(n - j, n)),
+                      tuple(range(1, 2 * j, 2)), tuple(range(n - 2 * j, n, 2))]:
+                xs = [v for v in range(n) if v not in J]
+                check_candidates(J, xs, k - j, key=k * 31 + j)
+
+
+def test_candidates_edge_layouts():
+    # J at 0 and n-1, adjacent J vertices, empty gaps and gaps smaller than
+    # some c_t, a sparse free set, and no candidate at all
+    n = 12
+    for J, xs, d in [((0, 11), range(1, 11), 2), ((0, 1, 2), range(3, 12), 2),
+                     ((4, 5), [0, 1, 2, 3, 6, 7, 8], 3), ((3, 6), [1, 4, 7, 8, 10], 3),
+                     ((2, 9), [0, 5, 11], 2), ((5,), [6, 7, 8, 9], 4), ((5,), [0, 11], 1),
+                     ((0, 11), [5], 2), ((1, 2), [], 1), ((), range(n), 3)]:
+        cands = check_candidates(J, list(xs), d)
+        assert cands.nrows == math.comb(len(list(xs)), d)
+    empty = Candidates((3, 4), np.array([7], dtype=np.int32), 2)
+    assert empty.nrows == 0 and empty.hash(1).size == 0
+    assert [c.size for c in empty] == [0, 0, 0, 0]
+    assert [c.size for c in empty.xcols()] == [0, 0]
+    with pytest.raises(IndexError):
+        empty[4]
+
+
+def test_candidates_rows_form_blocks_with_j_at_fixed_positions():
+    # loose (k=3, j=1): low x low, low x high, then high x high
+    xs = np.array([0, 1, 2, 4, 5], dtype=np.int32)
+    cands = Candidates((3,), xs, 2)
+    rows = [cands.row(i) for i in range(cands.nrows)]
+    assert rows == [(0, 1, 3), (0, 2, 3), (1, 2, 3),
+                    (0, 3, 4), (0, 3, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5),
+                    (3, 4, 5)]
+    # one free vertex per candidate: the blocks are the gaps of xs, in order
+    cands = Candidates((1, 3), xs, 1)
+    assert cands.xcols()[0].tolist() == xs.tolist()
 
 
 def test_vector_scan_columns_are_int32(generic_modes):
