@@ -2,7 +2,8 @@
 
 Subcommands: params, bounds, z, expectation, gen, run, oracle, sweep, verify.
 Common flags: --seed where randomness is involved, --config FILE for flat
-key=value defaults (explicit flags win), --out for file outputs.
+key=value defaults of the flags that take a value (explicit flags win), --out
+for file outputs.
 
 Exit codes: 0 success; 1 usage or input error; 2 a budget was hit or results
 were censored (outputs are still written).
@@ -33,15 +34,26 @@ def read_config(path) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill in None-valued args from the config file; flags win."""
+def _merge_config(args: argparse.Namespace, argv: list) -> None:
+    """Set each flag that takes a value and is not given on the command line
+    from the config file, converted and checked like the flag's own value.
+    On/off flags are command-line only; other keys are left to the command."""
     if not getattr(args, "config", None):
         return
     cfg = read_config(args.config)
-    for key, val in cfg.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+    # argv[0] is the subcommand; a flag given there is no longer None
+    given, _ = args.parser.parse_known_args(argv[1:], argparse.Namespace(**dict.fromkeys(cfg)))
+    for a in args.parser._actions:
+        if a.dest not in cfg or a.nargs == 0 or getattr(given, a.dest) is not None:
             continue
-        setattr(args, key, val)
+        raw = cfg[a.dest]
+        try:
+            val = a.type(raw) if a.type else raw
+        except ValueError as exc:
+            raise ValueError(f"config {a.dest}={raw!r}: {exc}") from None
+        if a.choices is not None and val not in a.choices:
+            raise ValueError(f"config {a.dest}={raw!r}: not one of {', '.join(a.choices)}")
+        setattr(args, a.dest, val)
 
 
 def _coerce(args, name, fn, default=None):
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", default=None)
     sp.add_argument("-p", default=None)
     sp.add_argument("--seed", default=None)
-    sp.add_argument("--mode", choices=("auto", "generic", "checked"), default="auto")
+    sp.add_argument("--mode", choices=pathfinder.MODES, default="auto")
     sp.add_argument("--trace", help="write the event trace as JSON lines")
     sp.add_argument("--trace-level", choices=pathfinder.TRACE_LEVELS, default="events")
     sp.add_argument("--stopping", choices=("standard", "loose", "none"), default=None)
@@ -350,21 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", default=None)
     sp.add_argument("--seed", default=None)
     sp.set_defaults(func=cmd_verify, need=())
+    for sp in sub.choices.values():
+        sp.set_defaults(parser=sp)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _merge_config(args, parser)
+        _merge_config(args, argv)
         for name in args.need:
             if getattr(args, name, None) is None:
                 print(f"error: missing required value for {name!r}", file=sys.stderr)
                 return 1
-        for name in ("k", "j"):
-            if getattr(args, name, None) is not None:
-                setattr(args, name, int(getattr(args, name)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -129,19 +129,6 @@ def _compositions(d: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(c for c in product(range(d, -1, -1), repeat=parts) if sum(c) == d)
 
 
-class _XColumns(abc.Sequence):
-    """The d columns of X of a Candidates, each built on first use."""
-
-    def __init__(self, cands: "Candidates"):
-        self.cands, self.nrows = cands, cands.nrows
-
-    def __len__(self) -> int:
-        return self.cands.d
-
-    def __getitem__(self, i):
-        return self.cands._cached(True, i)
-
-
 class Candidates(abc.Sequence):
     """Every K = sorted(J u X) for a j-set J and X over the d-subsets of the
     increasing free vertices xs (d >= 1, xs disjoint from J), in blocks.
@@ -153,8 +140,8 @@ class Candidates(abc.Sequence):
     the blocks are the gaps, so the rows are xs in order.
 
     As a sequence it is K's k columns, of xs's dtype, in block order, each
-    built on first use; ``xcols()`` gives X's d columns the same way, and
-    ``row(i)``/``xrow(i)`` one row's K and X. ``hash(key)`` is chain64(key,
+    built on first use; ``xcols()`` lists X's d columns, built the same way,
+    and ``row(i)``/``xrow(i)`` one row's K and X. ``hash(key)`` is chain64(key,
     K) of every row, bit for bit, without building K: each prefix state is
     hashed at the coarsest level where it is constant. J's vertices ahead of
     a block's first X vertex are hashed once per block, a gap table's first
@@ -222,8 +209,8 @@ class Candidates(abc.Sequence):
     def __getitem__(self, i):
         return self._cached(False, i)
 
-    def xcols(self) -> _XColumns:
-        return _XColumns(self)
+    def xcols(self) -> list[np.ndarray]:
+        return self._cached(True, slice(None))
 
     def _cells(self, i: int) -> list:
         """Row i's K as (vertex, whether it is in X) pairs."""

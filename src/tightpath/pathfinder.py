@@ -21,22 +21,24 @@ m+1..m+r+1 and extends exactly when the path again has m edges. Extending
 reorders the donor block so the extender's C0 occupies its tail; no existing
 edge depends on that block's internal order at that moment.
 
-The generic (scalar) scan carries the invariant checks and full query traces;
-it hashes only candidates that pass Q4. One vectorized scan serves every
-(k, j), observationally identical to it. It lays out every candidate of J at
+Each mode has one scan. Checked mode runs the generic (scalar) scan, the
+reference, which carries the invariant checks; it hashes only candidates that
+pass Q4. Auto mode runs one vectorized scan for every (k, j), observationally
+identical to it at every trace level. It lays out every candidate of J at
 once as a ``hypergraph.Candidates``: the d-subsets of the free vertices
 around J's vertices, in blocks in which J's vertices sit at fixed positions
 of K, so a hash of every K reuses the prefix states its rows share instead
 of hashing k columns per row. It works in this order: Q4 (from an index of
 explored j-sets by their proper subsets), then the edge coins of all
 candidates, then the priority hashes, but only when Q3 needs them (a resumed
-scan) or a live candidate succeeded. A first scan with no live success would
-query every live candidate in turn, so its query count is the number of live
-candidates whatever their order. Nothing depends on the order of the rows:
-the winner is the least (priority, K) among live successes and the query
-count is the number of live rows below it. The scan reports the queries the
+scan), a live candidate succeeded or the trace level is full. A first scan
+with no live success would query every live candidate in turn, so its query
+count is the number of live candidates whatever their order. Nothing depends
+on the order of the rows: the winner is the least (priority, K) among live
+successes and the query count is the number of live rows below it. The scan reports the queries the
 scalar scan would make, in the same order and with the same cutoffs, so
-events, counts and traces are identical. Its vertex columns are int32, half
+events, counts and traces are identical; at trace level full it lists them
+by sorting the live rows on (priority, K). Its vertex columns are int32, half
 the memory traffic of int64; PathFinder therefore refuses n >= 2^31.
 """
 
@@ -53,10 +55,11 @@ import numpy as np
 
 from ._rng import chain64, chain64_np, derive_key, mix64
 from .combinatorics import JTightPath, StructuralParams, structural_params
-from .hypergraph import Candidates, _XColumns, pack_rows, subset_cols  # subset_cols: re-exported
+from .hypergraph import Candidates, pack_rows, subset_cols  # subset_cols: re-exported
 from .monitor import EXHAUSTED, Monitor, StoppingConfig
 
 TRACE_LEVELS = ("summary", "events", "full")
+MODES = ("auto", "checked")
 
 MATERIALIZE_LIMIT = 1_000_000
 RESERVOIR_SIZE = 8192
@@ -69,12 +72,11 @@ class Batch:
     edge_index 0 marks a new-start singleton; its exhaustion removes nothing.
     """
 
-    __slots__ = ("edge_index", "remaining", "size", "skipped")
+    __slots__ = ("edge_index", "remaining", "skipped")
 
     def __init__(self, edge_index: int):
         self.edge_index = edge_index
         self.remaining = 0
-        self.size = 0
         self.skipped = 0
 
 
@@ -82,17 +84,16 @@ class ActiveRecord:
     """One active j-set: identity, extendable partition, spawning edge index,
     owning batch, and the scan cursor for Q3 resume."""
 
-    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "idx", "cursor", "queried")
+    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "idx", "cursor")
 
     def __init__(self, jset, partition, edge_index, batch):
         self.jset = jset
         self.partition = partition
         self.edge_index = edge_index
         self.batch = batch
-        self.order = None  # generic engine: [(hash, K, X)] in query order
+        self.order = None  # generic scan: [(hash, K, X)] in query order
         self.idx = 0
         self.cursor = None  # vector scan: (hash, K row) of the last consumed candidate
-        self.queried = None  # checked mode: X tuples actually queried
 
 
 def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
@@ -155,9 +156,8 @@ class _NeutralStream:
                 idx = np.argpartition(h, m - 1)[:m]
                 h, ranks = h[idx], ranks[idx]
             keep_h, keep_r = h, ranks
-        cols = unrank_colex(np.sort(keep_r), self.j, self.n, tables)
-        h = chain64_np(self.key, [cols[:, c] for c in range(self.j)])
-        order = np.lexsort(tuple(cols[:, c] for c in reversed(range(self.j))) + (h,))
+        cols = unrank_colex(keep_r, self.j, self.n, tables)
+        order = np.lexsort(tuple(cols[:, c] for c in reversed(range(self.j))) + (keep_h,))
         return cols[order]
 
     def pop(self) -> Optional[tuple]:
@@ -266,11 +266,11 @@ class RunTrace:
 class PathFinder:
     """One depth-first run over a hypergraph backend.
 
-    mode: "auto" uses the vectorized scan, or the generic scan when
-    trace_level is "full"; "generic" forces the scalar scan; "checked" additionally
-    asserts state invariants after every event and enables replayable
-    bookkeeping. audit=True (implies checked) re-derives the full allowed
-    family before every query and asserts the scan agrees.
+    mode: "auto" uses the vectorized scan at every trace level; "checked"
+    uses the generic (scalar) scan, asserts state invariants after every event
+    and keeps a ledger of queried k-sets. audit=True (implies checked)
+    re-derives the full allowed family before every query and asserts the
+    scan agrees.
     """
 
     def __init__(
@@ -286,8 +286,8 @@ class PathFinder:
         self._start = time.perf_counter()  # RunTrace.ms covers construction too
         if trace_level not in TRACE_LEVELS:
             raise ValueError(f"trace_level must be one of {TRACE_LEVELS}")
-        if mode not in ("auto", "generic", "checked"):
-            raise ValueError("mode must be auto, generic, or checked")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         if H.n >= 2**31:
             raise ValueError(f"n = {H.n} does not fit the scan's int32 vertex columns")
         self.H = H
@@ -299,7 +299,7 @@ class PathFinder:
         self.monitor = Monitor(self.n, self.k, j, self.config)
         self.audit = audit
         self.checked = audit or mode == "checked"
-        self.mode = "checked" if self.checked else mode
+        self.mode = "checked" if self.checked else "auto"
         self.trace_level = trace_level
         self.events: list = []
 
@@ -409,15 +409,9 @@ class PathFinder:
         ent.sort()
         return ent
 
-    def _materialize_order(self, rec: ActiveRecord) -> None:
-        rec.order = self._scalar_order(rec)
-        rec.idx = 0
-        if self.checked:
-            rec.queried = set()
-
     def _scan_generic(self, rec: ActiveRecord):
         if rec.order is None:
-            self._materialize_order(rec)
+            rec.order = self._scalar_order(rec)
         t_stop = self._t_stop()
         full = self.trace_level == "full"
         while rec.idx < len(rec.order):
@@ -430,10 +424,8 @@ class PathFinder:
             rec.idx += 1
             self.t += 1
             outcome = self.H.query_edge(K)
-            if self.checked:
-                assert K not in self.queried_ksets, "duplicate k-set query"
-                self.queried_ksets.add(K)
-                rec.queried.add(X)
+            assert K not in self.queried_ksets, "duplicate k-set query"
+            self.queried_ksets.add(K)
             if full:
                 self._emit({"event": "query", "t": self.t, "jset": list(rec.jset),
                             "edge": list(K), "outcome": bool(outcome)})
@@ -448,16 +440,16 @@ class PathFinder:
         fam = [e[2] for e in self._scalar_order(rec) if e[:2] > last]
         assert fam and fam[0] == X, f"scan order diverged: {X} vs {fam[:1]}"
 
-    def _q4_mask(self, J: tuple, xcols: _XColumns) -> np.ndarray:
+    def _q4_mask(self, J: tuple, cands: Candidates) -> np.ndarray:
         """Q4 for completions of 2 or more vertices: False where X holds an
         i-set S with T u S explored for some (j-i)-subset T of J. The columns
         of X are built only if such an explored set exists."""
-        alive = np.ones(xcols.nrows, dtype=bool)
+        alive = np.ones(cands.nrows, dtype=bool)
         for i in range(2, min(self.j, self.d) + 1):
             found = [S for T in combinations(J, self.j - i) for S in self.explored_by.get(T, ())]
             if found:
                 keys = pack_rows(np.array(found, dtype=np.int64).T, self.n)
-                for sub in combinations(xcols, i):
+                for sub in combinations(cands.xcols(), i):
                     alive &= np.isin(pack_rows(sub, self.n), keys, invert=True)
         return alive
 
@@ -472,7 +464,8 @@ class PathFinder:
 
     def _scan_kernel(self, rec: ActiveRecord):
         # Work order: the Q4 mask, then the coins, then the priorities only
-        # when Q3 needs them (a resumed scan) or a live candidate succeeded.
+        # when Q3 needs them (a resumed scan), a full trace lists the queries,
+        # or a live candidate succeeded.
         # Hashing has no side effects, so the order changes no outcome; and a
         # first scan without a success queries every live candidate, so its
         # query count needs no priorities at all. Nothing depends on the order
@@ -484,42 +477,50 @@ class PathFinder:
         free[[v for T in combinations(rec.jset, self.j - 1)
               for (v,) in self.explored_by.get(T, ())]] = False
         cands = Candidates(rec.jset, np.flatnonzero(free).astype(np.int32), self.d)
-        alive = self._q4_mask(rec.jset, cands.xcols())
-        h = None
+        alive = self._q4_mask(rec.jset, cands)
+        full = self.trace_level == "full"
+        h = cands.hash(self.sigk_key) if full or rec.cursor is not None else None
         if rec.cursor is not None:
-            h = cands.hash(self.sigk_key)
             alive &= self._cursor_alive(rec, h, cands)
 
         if not alive.any():
             return ("exhausted",)
-        t_stop = self._t_stop()
+        t0, t_stop = self.t, self._t_stop()
         succ = alive & self.H.bulk_query(cands)
-        if not succ.any():
+        if succ.any():
+            if h is None:
+                h = cands.hash(self.sigk_key)
+            hmin = h[succ].min()
+            wrow, win = min((cands.row(i), i) for i in np.flatnonzero(succ & (h == hmin)))
+            q = int(np.count_nonzero(alive & (h < hmin))) + 1
+            for i in np.flatnonzero(alive & (h == hmin)):
+                if i != win and cands.row(i) < wrow:
+                    q += 1
+            res, cut = ("success", cands.xrow(win), wrow), t0 + q > t_stop
+        else:  # a failed query at t_stop stops the run; a success there stands
             q = int(np.count_nonzero(alive))
-            if self.t + q >= t_stop:
-                self.t = int(t_stop)
-                return ("stop", self.monitor.time_reason(self.t))
-            self.t += q
-            return ("exhausted",)
-        if h is None:
-            h = cands.hash(self.sigk_key)
-        hmin = h[succ].min()
-        wrow, win = min((cands.row(i), i) for i in np.flatnonzero(succ & (h == hmin)))
-        q = int(np.count_nonzero(alive & (h < hmin))) + 1
-        for i in np.flatnonzero(alive & (h == hmin)):
-            if i != win and cands.row(i) < wrow:
-                q += 1
-        if self.t + q > t_stop:
-            self.t = int(t_stop)
+            res, cut = ("exhausted",), t0 + q >= t_stop
+        self.t = int(t_stop) if cut else t0 + q
+        if full:
+            self._emit_queries(rec, cands, h, alive, succ, t0)
+        if cut:
             return ("stop", self.monitor.time_reason(self.t))
-        self.t += q
-        rec.cursor = (int(hmin), wrow)
-        return ("success", cands.xrow(win), wrow)
+        if res[0] == "success":
+            rec.cursor = (int(hmin), wrow)
+        return res
+
+    def _emit_queries(self, rec: ActiveRecord, cands: Candidates, h, alive, succ, t0: int) -> None:
+        """One query event per clock tick since t0: the live rows in the
+        generic scan's (priority, K) order, cut where the clock stopped."""
+        live = np.flatnonzero(alive)
+        rows = live[np.lexsort(tuple(c[live] for c in reversed(cands)) + (h[live],))][: self.t - t0]
+        edges = np.column_stack([c[rows] for c in cands]).tolist()
+        for t, (K, outcome) in enumerate(zip(edges, succ[rows].tolist()), t0 + 1):
+            self._emit({"event": "query", "t": t, "jset": list(rec.jset),
+                        "edge": K, "outcome": outcome})
 
     def _scan(self, rec: ActiveRecord):
-        if self.mode == "auto" and self.trace_level != "full":
-            return self._scan_kernel(rec)
-        return self._scan_generic(rec)
+        return self._scan_generic(rec) if self.checked else self._scan_kernel(rec)
 
     # -- search loop ---------------------------------------------------------
 
@@ -533,7 +534,7 @@ class PathFinder:
         )
         self._reset_path(jset, partition)
         batch = Batch(edge_index=0)
-        batch.remaining = batch.size = 1
+        batch.remaining = 1
         self.stack = [ActiveRecord(jset, partition, 0, batch)]
         self.discovered.add(jset)
         self.monitor.on_discover(jset, new_start=True)
@@ -569,7 +570,6 @@ class PathFinder:
                 self.monitor.on_discover(js, new_start=False)
                 pushed.append(ActiveRecord(js, part, batch.edge_index, batch))
                 batch.remaining += 1
-                batch.size += 1
                 self.activations += 1
         self._emit({"event": "batch", "t": self.t, "edge_index": batch.edge_index,
                     "members": [list(r.jset) for r in pushed],

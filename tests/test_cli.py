@@ -160,6 +160,41 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert (code, out) == (0, "k=5 j=3 a=1 b=1 s=2 r=1 batch=2\n")
 
 
+def test_config_values_are_converted_like_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("k=3\nj=2\nlength=2\n")
+    assert run_cli(capsys, "z", "--config", str(cfg)) == (0, "4\n", "")
+    cfg.write_text("k=3\nj=2\nn=7\nlength=2\np=0.25\n")
+    code, out, _ = run_cli(capsys, "expectation", "--config", str(cfg))
+    assert (code, out) == (0, f"expected={expected_path_classes(7, 3, 2, 2, 0.25)!r}\n")
+    for body, word in [("k=3\nj=2\nlength=two\n", "length"), ("k=3\nj=x\nlength=2\n", "j")]:
+        cfg.write_text(body)
+        code, out, err = run_cli(capsys, "z", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config {word}=") and err.count("\n") == 1
+
+
+def test_config_sets_flags_with_defaults_unless_given(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("n=12\nk=3\np=0.2\nj=2\nmode=checked\ntrace_level=full\n")
+    trace = tmp_path / "t.jsonl"
+    for extra, mode in [((), "checked"), (("--mode", "auto"), "auto")]:
+        code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--trace", str(trace), *extra)
+        head = RunTrace.read_jsonl(trace).header()
+        assert (code, head["mode"], head["trace_level"]) == (0, mode, "full")
+    cfg.write_text("n=12\nk=3\np=0.2\nj=2\nmode=generic\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config mode=") and err.count("\n") == 1
+
+
+def test_run_refuses_mode_generic(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-n", "10", "-k", "3", "-p", "0.1", "-j", "2", "--mode", "generic"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'generic'" in capsys.readouterr().err
+
+
 def test_read_config_parsing(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("# comment only\nnode-budget = 42\n  eps=0.3 # inline\n\n")

@@ -187,7 +187,7 @@ def test_forbidden_counters_enforce_their_bounds():
 
 
 def fabricated_finder(n=8):
-    finder = PathFinder(ExplicitHypergraph(n, 3, []), j=2, mode="generic")
+    finder = PathFinder(ExplicitHypergraph(n, 3, []), j=2, mode="checked")
     assert finder._new_start()
     return finder
 

@@ -113,7 +113,7 @@ def test_activate_batch_partition_shapes():
 
 
 def test_allowed_candidates_fresh_start():
-    finder = PathFinder(empty_H(6), j=2, mode="generic")
+    finder = PathFinder(empty_H(6), j=2, mode="checked")
     assert finder._new_start()
     J = finder.stack[-1].jset
     cands = allowed_candidates(finder)
@@ -121,7 +121,7 @@ def test_allowed_candidates_fresh_start():
 
 
 def test_allowed_candidates_q4_blocks():
-    finder = PathFinder(empty_H(6), j=2, mode="generic")
+    finder = PathFinder(empty_H(6), j=2, mode="checked")
     finder._new_start()
     J = finder.stack[-1].jset
     outside = [x for x in range(6) if x not in J]
@@ -131,7 +131,7 @@ def test_allowed_candidates_q4_blocks():
 
 
 def test_allowed_candidates_q2_blocks():
-    finder = PathFinder(empty_H(6), j=2, mode="generic")
+    finder = PathFinder(empty_H(6), j=2, mode="checked")
     finder._new_start()
     J = finder.stack[-1].jset
     outside = [x for x in range(6) if x not in J]
@@ -204,7 +204,7 @@ def test_scalar_order_hashes_only_live_candidates(monkeypatch):
 
 
 def test_retreat_explores_a_spent_start():
-    finder = PathFinder(empty_H(6), j=2, mode="generic")
+    finder = PathFinder(empty_H(6), j=2, mode="checked")
     finder._new_start()
     rec = finder.stack[-1]
     rec.order = []  # pretend the scan ran dry
@@ -215,7 +215,7 @@ def test_retreat_explores_a_spent_start():
 
 
 def test_retreat_refuses_live_candidates():
-    finder = PathFinder(empty_H(6), j=2, mode="generic")
+    finder = PathFinder(empty_H(6), j=2, mode="checked")
     finder._new_start()
     with pytest.raises(ValueError):
         retreat(finder)
@@ -223,7 +223,7 @@ def test_retreat_refuses_live_candidates():
 
 def test_retreat_removes_the_edge_of_a_spent_batch():
     """Exploring the last member of an edge's batch rolls the path back."""
-    finder = PathFinder(empty_H(8), j=2, mode="generic")
+    finder = PathFinder(empty_H(8), j=2, mode="checked")
     finder._new_start()
     rec = finder.stack[-1]
     X = tuple(v for v in range(8) if v not in rec.jset)[:1]
@@ -249,7 +249,7 @@ def test_empty_instance_queries_every_kset_once():
     j-set. Total queries = C(n, k) regardless of seed or engine."""
     for n, k, j in [(5, 3, 2), (6, 3, 2), (5, 3, 1), (7, 5, 2)]:
         for seed in (0, 1, 2):
-            for mode in ("auto", "generic", "checked"):
+            for mode in ("auto", "checked"):
                 tr = run(empty_H(n, k), k, j, seed=seed, mode=mode)
                 assert tr.queries == math.comb(n, k)
                 assert tr.new_starts == math.comb(n, j)
@@ -276,8 +276,8 @@ def test_run_is_deterministic():
         lambda: generate_explicit(12, 3, 0.2, seed=4),
         lambda: LazyHypergraph(12, 3, 0.2, seed=4),
     ):
-        a = run(make(), 3, 2, seed=9, trace_level="full", mode="generic")
-        b = run(make(), 3, 2, seed=9, trace_level="full", mode="generic")
+        a = run(make(), 3, 2, seed=9, trace_level="full", mode="checked")
+        b = run(make(), 3, 2, seed=9, trace_level="full", mode="checked")
         assert a.events == b.events
         assert summary_no_ms(a) == summary_no_ms(b)
 
@@ -292,43 +292,25 @@ def test_lazy_and_explicit_runs_are_identical():
         assert summary_no_ms(a) == summary_no_ms(b)
 
 
-def test_vertex_kernel_matches_generic_scan(generic_modes):
-    for seed in range(10):
-        H = generate_explicit(18, 3, 0.12, seed=seed)
-        a = run(H, 3, 2, seed=seed)
+@pytest.mark.parametrize("n, k, j, p, seeds", [(18, 3, 2, 0.12, 10), (20, 2, 1, 0.06, 6),
+                                               (14, 3, 1, 0.02, 10)])
+def test_vector_scan_matches_checked_scan(generic_modes, n, k, j, p, seeds):
+    for seed in range(seeds):
+        H = generate_explicit(n, k, p, seed=seed)
+        a = run(H, k, j, seed=seed, trace_level="full")
         assert "auto" not in generic_modes
-        b = run(H, 3, 2, seed=seed, mode="generic")
-        assert a.events == b.events
-        assert summary_no_ms(a) == summary_no_ms(b)
-    assert "generic" in generic_modes
+        c = run(H, k, j, seed=seed, mode="checked", trace_level="full")
+        assert a.events == c.events
+        assert summary_no_ms(a) == summary_no_ms(c)
+    assert "checked" in generic_modes
 
 
-def test_vertex_kernel_matches_generic_scan_graph_case(generic_modes):
-    for seed in range(6):
-        H = generate_explicit(20, 2, 0.06, seed=seed)
-        a = run(H, 2, 1, seed=seed)
-        assert "auto" not in generic_modes
-        b = run(H, 2, 1, seed=seed, mode="generic")
-        assert a.events == b.events
-        assert summary_no_ms(a) == summary_no_ms(b)
-    assert "generic" in generic_modes
-
-
-def test_pair_kernel_matches_generic_scan(generic_modes):
-    for seed in range(10):
-        H = generate_explicit(14, 3, 0.02, seed=seed)
-        a = run(H, 3, 1, seed=seed)
-        assert "auto" not in generic_modes
-        b = run(H, 3, 1, seed=seed, mode="generic")
-        assert a.events == b.events
-        assert summary_no_ms(a) == summary_no_ms(b)
-    assert "generic" in generic_modes
-
-
-def test_full_trace_level_keeps_the_generic_scan(generic_modes):
+def test_full_trace_level_runs_the_vector_scan(generic_modes):
     H = generate_explicit(10, 4, 0.05, seed=1)
-    run(H, 4, 2, seed=1, trace_level="full")
-    assert "auto" in generic_modes
+    tr = run(H, 4, 2, seed=1, trace_level="full")
+    assert not generic_modes
+    assert sum(ev["event"] == "query" for ev in tr.events) == tr.queries > 0
+    assert replay_trace(tr, H)
 
 
 def test_subset_cols_lists_subsets_in_lexicographic_order():
@@ -352,7 +334,7 @@ def check_candidates(J, xs, d, key=0x5EED):
     assert list(zip(*(c.tolist() for c in cands))) == rows
     assert list(zip(*(c.tolist() for c in cands[1:]))) == [K[1:] for K in rows]
     xcols = cands.xcols()
-    assert (len(xcols), xcols.nrows) == (d, cands.nrows)
+    assert len(xcols) == d and all(c.shape == (cands.nrows,) for c in xcols)
     assert list(zip(*(c.tolist() for c in xcols))) == [want[K] for K in rows]
     h = cands.hash(key)
     assert h.dtype == np.uint64
@@ -437,8 +419,9 @@ def test_vertex_labels_must_fit_int32():
 
 def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_modes):
     """Budget and S2 cutoffs at every clock value 1..queries, so cutoffs land
-    inside first scans (which hash no priorities unless a candidate succeeds)
-    and inside resumed scans (which hash them for the Q3 cursor)."""
+    inside first scans (which hash no priorities unless a candidate succeeds
+    or the trace is full) and inside resumed scans (which hash them for the
+    Q3 cursor). Budget runs trace events, S2 runs every query."""
     seen = set()
     scan = PathFinder._scan_kernel
     q4_mask = PathFinder._q4_mask
@@ -446,11 +429,11 @@ def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_mod
     def spy(self, rec):
         first, t = rec.cursor is None, self.t
         res = scan(self, rec)
-        seen.add(((self.k, self.j), first, res[0], self.t > t))
+        seen.add(((self.k, self.j), self.trace_level, first, res[0], self.t > t))
         return res
 
-    def q4_spy(self, J, xcols):
-        alive = q4_mask(self, J, xcols)
+    def q4_spy(self, J, cands):
+        alive = q4_mask(self, J, cands)
         if not alive.all():
             seen.add(("q4-subset", self.k, self.j))
         return alive
@@ -462,19 +445,20 @@ def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_mod
     for n, k, j, p in cases:
         for seed in range(3):
             H = generate_explicit(n, k, p, seed=seed)
-            total = run(H, k, j, seed=seed, mode="generic").queries
+            total = run(H, k, j, seed=seed, mode="checked").queries
             for b in range(1, total + 1):
-                for cfg in (StoppingConfig(enabled=frozenset(), budget=b),
-                            StoppingConfig(T0=b, enabled=frozenset({"S2"}))):
-                    a = run(H, k, j, seed=seed, stopping=cfg)
-                    g = run(H, k, j, seed=seed, stopping=cfg, mode="generic")
-                    assert a.events == g.events
-                    assert summary_no_ms(a) == summary_no_ms(g)
+                for cfg, level in ((StoppingConfig(enabled=frozenset(), budget=b), "events"),
+                                   (StoppingConfig(T0=b, enabled=frozenset({"S2"})), "full")):
+                    a, c = (run(H, k, j, seed=seed, stopping=cfg, mode=m, trace_level=level)
+                            for m in ("auto", "checked"))
+                    assert a.events == c.events
+                    assert summary_no_ms(a) == summary_no_ms(c)
     assert "auto" not in generic_modes
     for _, k, j, _ in cases:
-        for first in (True, False):
-            for outcome in ("exhausted", "success", "stop"):
-                assert ((k, j), first, outcome, True) in seen
+        for level in ("events", "full"):
+            for first in (True, False):
+                for outcome in ("exhausted", "success", "stop"):
+                    assert ((k, j), level, first, outcome, True) in seen
     # candidates holding two vertices of an explored j-set were masked
     for k, j in [(4, 2), (5, 2), (5, 3)]:
         assert ("q4-subset", k, j) in seen
@@ -493,20 +477,22 @@ def search_cases(draw):
         StoppingConfig(enabled=frozenset(), budget=t),
         StoppingConfig(T0=t, enabled=frozenset({"S2"})),
     ]))
-    return n, k, j, p, seed, stop
+    level = draw(st.sampled_from(["events", "full"]))
+    return n, k, j, p, seed, stop, level
 
 
 @given(search_cases())
 @settings(deadline=None, max_examples=300)
 def test_auto_generic_and_checked_runs_agree(case):
-    """The vector scan, the scalar scan and the checked scalar scan give equal
-    events and summaries on random shapes, densities and cutoffs."""
-    n, k, j, p, seed, stop = case
+    """The vector scan (auto) and the generic scan (checked) give equal
+    events, query events included, and summaries on random shapes,
+    densities, cutoffs and trace levels."""
+    n, k, j, p, seed, stop, level = case
     H = generate_explicit(n, k, p, seed=seed)
-    a, g, c = (run(H, k, j, seed=seed, stopping=stop, mode=m)
-               for m in ("auto", "generic", "checked"))
-    assert a.events == g.events == c.events
-    assert summary_no_ms(a) == summary_no_ms(g) == summary_no_ms(c)
+    a, c = (run(H, k, j, seed=seed, stopping=stop, mode=m, trace_level=level)
+            for m in ("auto", "checked"))
+    assert a.events == c.events
+    assert summary_no_ms(a) == summary_no_ms(c)
 
 
 def test_audit_mode_agrees_with_scan_order():
@@ -536,7 +522,7 @@ def test_search_never_beats_the_oracle():
 def test_batch_members_and_new_starts_follow_priority_order():
     sigj = derive_key(3, "sigma-j")
     H = generate_explicit(12, 5, 0.06, seed=2)
-    tr = run(H, 5, 2, seed=3, mode="generic")
+    tr = run(H, 5, 2, seed=3, mode="checked")
     starts = [tuple(ev["jset"]) for ev in tr.events if ev["event"] == "new_start"]
     keys = [(chain64(sigj, J), J) for J in starts]
     assert keys == sorted(keys)
@@ -553,7 +539,7 @@ def test_batch_members_and_new_starts_follow_priority_order():
 def test_s1_stops_at_the_target_length():
     H = ExplicitHypergraph(12, 3, combinations(range(12), 3))
     cfg = StoppingConfig(target_length=3, enabled=frozenset({"S1"}))
-    for mode in ("auto", "generic"):
+    for mode in ("auto", "checked"):
         tr = run(H, 3, 2, seed=0, stopping=cfg, mode=mode)
         assert tr.stop_reason == "S1"
         assert tr.final_ell == tr.max_ell == 3
@@ -562,7 +548,7 @@ def test_s1_stops_at_the_target_length():
 
 def test_s2_stops_on_the_query_clock():
     cfg = StoppingConfig(T0=5, enabled=frozenset({"S2"}))
-    for mode in ("auto", "generic"):
+    for mode in ("auto", "checked"):
         tr = run(empty_H(8), 3, 2, seed=1, stopping=cfg, mode=mode)
         assert tr.stop_reason == "S2"
         assert tr.queries == 5
@@ -570,7 +556,7 @@ def test_s2_stops_on_the_query_clock():
 
 def test_budget_stops_and_is_reported_separately():
     cfg = StoppingConfig(enabled=frozenset(), budget=7)
-    for mode in ("auto", "generic"):
+    for mode in ("auto", "checked"):
         tr = run(empty_H(8), 3, 2, seed=1, stopping=cfg, mode=mode)
         assert tr.stop_reason == "budget"
         assert tr.queries == 7
@@ -609,8 +595,9 @@ def test_run_rejects_reentry_and_bad_arguments():
         run(empty_H(6), 3, 0)
     with pytest.raises(ValueError):
         run(empty_H(6), 3, 3)
-    with pytest.raises(ValueError):
-        PathFinder(empty_H(6), j=2, mode="bogus")
+    for mode in ("bogus", "generic"):
+        with pytest.raises(ValueError):
+            PathFinder(empty_H(6), j=2, mode=mode)
     with pytest.raises(ValueError):
         PathFinder(empty_H(6), j=2, trace_level="everything")
 
