@@ -56,13 +56,6 @@ def _merge_config(args: argparse.Namespace, argv: list) -> None:
         setattr(args, a.dest, val)
 
 
-def _coerce(args, name, fn, default=None):
-    val = getattr(args, name, None)
-    if val is None:
-        return default
-    return fn(val)
-
-
 def cmd_params(args) -> int:
     p = combinatorics.structural_params(args.k, args.j)
     print(f"k={p.k} j={p.j} a={p.a} b={p.b} s={p.s} r={p.r} batch={p.batch_size}")
@@ -70,12 +63,9 @@ def cmd_params(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    n = _coerce(args, "n", int)
-    eps = _coerce(args, "eps", float)
-    omega = _coerce(args, "omega", float)
-    delta = _coerce(args, "delta", float)
-    p0 = combinatorics.threshold_p0(n, args.k, args.j)
-    curves = combinatorics.theorem_bounds(n, args.k, args.j, eps, omega=omega, delta=delta)
+    p0 = combinatorics.threshold_p0(args.n, args.k, args.j)
+    curves = combinatorics.theorem_bounds(args.n, args.k, args.j, args.eps,
+                                          omega=args.omega, delta=args.delta)
     print(f"p0={p0!r}")
     for name in sorted(curves):
         print(f"{name}={curves[name].value!r}")
@@ -88,55 +78,46 @@ def cmd_z(args) -> int:
 
 
 def cmd_expectation(args) -> int:
-    n = _coerce(args, "n", int)
-    p = _coerce(args, "p", float)
+    n, p = args.n, args.p
     val = combinatorics.expected_path_classes(n, args.k, args.j, args.length, p)
     print(f"expected={val!r}")
     if args.exact:
         frac = combinatorics.expected_path_classes_exact(n, args.k, args.j, args.length, p)
         print(f"exact={frac}")
     if args.mc:
-        seed = _coerce(args, "seed", int, 0)
         mean, se = oracle.expectation_monte_carlo(n, args.k, args.j, args.length, p,
-                                                  samples=args.mc, seed=seed)
+                                                  samples=args.mc, seed=args.seed)
         print(f"mc_mean={mean!r} mc_se={se!r}")
     return 0
 
 
 def cmd_gen(args) -> int:
-    n = _coerce(args, "n", int)
-    p = _coerce(args, "p", float)
-    seed = _coerce(args, "seed", int, 0)
-    if args.sample:
-        H = hypergraph.sample_explicit(n, args.k, p, seed=seed)
-    else:
-        H = hypergraph.generate_explicit(n, args.k, p, seed=seed)
+    make = hypergraph.sample_explicit if args.sample else hypergraph.generate_explicit
+    H = make(args.n, args.k, args.p, seed=args.seed)
     H.write_text(args.out)
     print(f"n={H.n} k={H.k} edges={H.edge_count} out={args.out}")
     return 0
 
 
 def _build_stopping(args, n: int) -> StoppingConfig | None:
-    budget = _coerce(args, "budget", int)
-    rule = getattr(args, "stopping", None)
-    if rule in (None, "none"):
-        if budget is None and getattr(args, "target", None) is None:
+    budget = args.budget
+    if args.stopping in (None, "none"):
+        if budget is None and args.target is None:
             return None
-        target = _coerce(args, "target", float, math.inf)
-        t0 = _coerce(args, "t0", float, math.inf)
+        target = math.inf if args.target is None else args.target
+        t0 = math.inf if args.t0 is None else args.t0
         enabled = frozenset(x for x, on in (("S1", target < math.inf), ("S2", t0 < math.inf)) if on)
         return StoppingConfig(target_length=target, T0=t0, enabled=enabled, budget=budget)
-    eps = _coerce(args, "eps", float)
-    if eps is None:
+    if args.eps is None:
         raise ValueError("--stopping standard/loose needs --eps")
-    delta = _coerce(args, "delta", float, 0.5)
-    maker = StoppingConfig.loose if rule == "loose" else StoppingConfig.standard
+    maker = StoppingConfig.loose if args.stopping == "loose" else StoppingConfig.standard
     enabled = ("S1", "S2") if args.benchmark else ("S1", "S2", "S3", "S4")
-    return maker(n, args.k, args.j, abs(eps), delta=delta, budget=budget, enabled=enabled)
+    return maker(n, args.k, args.j, abs(args.eps), delta=args.delta, budget=budget,
+                 enabled=enabled)
 
 
 def cmd_run(args) -> int:
-    seed = _coerce(args, "seed", int, 0)
+    seed = args.seed
     if args.hypergraph:
         H = hypergraph.ExplicitHypergraph.read_text(args.hypergraph)
         if args.k is None:
@@ -145,12 +126,10 @@ def cmd_run(args) -> int:
             print(f"error: file is {H.k}-uniform, got -k {args.k}", file=sys.stderr)
             return 1
     else:
-        n = _coerce(args, "n", int)
-        p = _coerce(args, "p", float)
-        if n is None or p is None or args.k is None:
+        if args.n is None or args.p is None or args.k is None:
             print("error: need --hypergraph or all of -n, -k, -p", file=sys.stderr)
             return 1
-        H = hypergraph.LazyHypergraph(n, args.k, p, seed=seed)
+        H = hypergraph.LazyHypergraph(args.n, args.k, args.p, seed=seed)
     stopping = _build_stopping(args, H.n)
     trace = pathfinder.run(H, args.k, args.j, seed=seed, stopping=stopping,
                            mode=args.mode, trace_level=args.trace_level)
@@ -163,8 +142,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     H = hypergraph.ExplicitHypergraph.read_text(args.hypergraph)
-    budget = _coerce(args, "node_budget", int, 5_000_000)
-    res = oracle.longest_path_exact(H, args.j, node_budget=budget, method=args.method)
+    res = oracle.longest_path_exact(H, args.j, node_budget=args.node_budget, method=args.method)
     print(f"length={res.length} censored={res.censored} nodes={res.nodes}")
     print(f"witness={list(res.witness.vertices)}")
     return 2 if res.censored else 0
@@ -222,13 +200,11 @@ def _verify_z(args) -> bool:
 
 
 def _verify_lazy_explicit(args) -> bool:
-    n = _coerce(args, "n", int, 20)
-    trials = _coerce(args, "trials", int, 100)
-    seed = _coerce(args, "seed", int, 0)
-    k, j = args.k or 3, args.j or 2
+    n = 20 if args.n is None else args.n
+    trials, k, j = args.trials, args.k or 3, args.j or 2
     same = 0
     for t in range(trials):
-        s = experiments.trial_seed(seed, 0, 0, t)
+        s = experiments.trial_seed(args.seed, 0, 0, t)
         p = 2.0 * combinatorics.threshold_p0(n, k, j)
         He = hypergraph.generate_explicit(n, k, p, seed=s)
         Hl = hypergraph.LazyHypergraph(n, k, p, seed=s)
@@ -244,13 +220,11 @@ def _verify_lazy_explicit(args) -> bool:
 
 
 def _verify_oracle_bound(args) -> bool:
-    n = min(_coerce(args, "n", int, 10), 12)
-    trials = _coerce(args, "trials", int, 100)
-    seed = _coerce(args, "seed", int, 0)
-    k, j = args.k or 3, args.j or 2
+    n = min(10 if args.n is None else args.n, 12)
+    trials, k, j = args.trials, args.k or 3, args.j or 2
     good = 0
     for t in range(trials):
-        s = experiments.trial_seed(seed, 1, 0, t)
+        s = experiments.trial_seed(args.seed, 1, 0, t)
         p = 2.0 * combinatorics.threshold_p0(n, k, j)
         H = hypergraph.generate_explicit(n, k, p, seed=s)
         opt = oracle.longest_path_exact(H, j).length
@@ -273,8 +247,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: the module docstring keeps 2 for censoring."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="tightpath", description=__doc__)
+    top = _Parser(prog="tightpath", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(sp, k=True, j=True):
@@ -290,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="threshold p0 and length-bound curves")
     common(sp)
-    sp.add_argument("-n", default=None)
-    sp.add_argument("--eps", default=None)
-    sp.add_argument("--omega", default=None)
-    sp.add_argument("--delta", default=None)
+    sp.add_argument("-n", type=int, default=None)
+    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--omega", type=float, default=None)
+    sp.add_argument("--delta", type=float, default=None)
     sp.set_defaults(func=cmd_bounds, need=("k", "j", "n", "eps"))
 
     sp = sub.add_parser("z", help="equivalence class size z_ell")
@@ -303,19 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expectation", help="expected path-class count")
     common(sp)
-    sp.add_argument("-n", default=None)
+    sp.add_argument("-n", type=int, default=None)
     sp.add_argument("-l", "--length", type=int, default=None)
-    sp.add_argument("-p", default=None)
+    sp.add_argument("-p", type=float, default=None)
     sp.add_argument("--exact", action="store_true", help="also print the exact fraction")
     sp.add_argument("--mc", type=int, default=0, help="Monte-Carlo sample count")
-    sp.add_argument("--seed", default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_expectation, need=("k", "j", "n", "length", "p"))
 
     sp = sub.add_parser("gen", help="write an explicit instance file")
     common(sp, j=False)
-    sp.add_argument("-n", default=None)
-    sp.add_argument("-p", default=None)
-    sp.add_argument("--seed", default=None)
+    sp.add_argument("-n", type=int, default=None)
+    sp.add_argument("-p", type=float, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sample", action="store_true",
                     help="count-then-rank sampling for large universes")
     sp.add_argument("--out", required=True)
@@ -324,25 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="one search run")
     common(sp)
     sp.add_argument("--hypergraph", help="explicit instance file; else lazy via -n/-p")
-    sp.add_argument("-n", default=None)
-    sp.add_argument("-p", default=None)
-    sp.add_argument("--seed", default=None)
+    sp.add_argument("-n", type=int, default=None)
+    sp.add_argument("-p", type=float, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=pathfinder.MODES, default="auto")
     sp.add_argument("--trace", help="write the event trace as JSON lines")
     sp.add_argument("--trace-level", choices=pathfinder.TRACE_LEVELS, default="events")
     sp.add_argument("--stopping", choices=("standard", "loose", "none"), default=None)
-    sp.add_argument("--eps", default=None)
-    sp.add_argument("--delta", default=None)
-    sp.add_argument("--target", default=None, help="explicit S1 threshold")
-    sp.add_argument("--t0", default=None, help="explicit S2 threshold")
-    sp.add_argument("--budget", default=None, help="hard query cap")
+    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--delta", type=float, default=0.5)
+    sp.add_argument("--target", type=float, default=None, help="explicit S1 threshold")
+    sp.add_argument("--t0", type=float, default=None, help="explicit S2 threshold")
+    sp.add_argument("--budget", type=int, default=None, help="hard query cap")
     sp.add_argument("--benchmark", action="store_true", help="disable S3/S4")
     sp.set_defaults(func=cmd_run, need=("j",))
 
     sp = sub.add_parser("oracle", help="exact longest path on an instance file")
     common(sp, k=False)
     sp.add_argument("--hypergraph", required=True)
-    sp.add_argument("--node-budget", default=None)
+    sp.add_argument("--node-budget", type=int, default=5_000_000)
     sp.add_argument("--method", choices=("auto", "dfs", "levels"), default="auto")
     sp.set_defaults(func=cmd_oracle, need=("j",))
 
@@ -358,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--suite", choices=("z-formula", "lazy-explicit", "oracle-bound", "all"),
                     default="all")
-    sp.add_argument("-n", default=None)
-    sp.add_argument("--trials", default=None)
-    sp.add_argument("--seed", default=None)
+    sp.add_argument("-n", type=int, default=None, help="default 20, or 10 for oracle-bound")
+    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify, need=())
     for sp in sub.choices.values():
         sp.set_defaults(parser=sp)

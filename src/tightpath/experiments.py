@@ -5,7 +5,7 @@ trial probability is p = (1 + eps) p0(n, k, j), so negative entries probe the
 subcritical side and positive ones the supercritical side. Each (n, eps,
 trial) runs one of four modes:
 
-  pathfinder_lazy      search over coin-flip edges revealed on first query
+  pathfinder_lazy      search over coin-flip edges flipped on first query
   pathfinder_explicit  search over a materialized instance with the same coin
                        function (identical traces to lazy at equal seeds)
   oracle_exact         exact longest path on a materialized instance

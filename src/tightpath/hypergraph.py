@@ -343,11 +343,11 @@ class LazyHypergraph:
     The coin for K is chain-hash(edge key, K) compared against the threshold
     for p, so outcomes of distinct k-sets are independent Bernoulli(p) for
     practical purposes and identical to generate_explicit with the same seed.
-    ``record`` keeps the revealed map for verification; production searches
-    never re-query, so recording is optional.
+    Nothing is stored: a repeated query re-flips the same coin, and a checked
+    search keeps its own ledger of the k-sets it queried.
     """
 
-    def __init__(self, n: int, k: int, p: float, seed: int, record: bool = False):
+    def __init__(self, n: int, k: int, p: float, seed: int):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         self.n = n
@@ -356,18 +356,10 @@ class LazyHypergraph:
         self.seed = seed
         self.edge_key = derive_key(seed, "edge-coin")
         self.threshold = coin_threshold(p)
-        self.record = record
-        self.revealed: dict[tuple[int, ...], bool] = {}
 
     def query_edge(self, K: Sequence[int]) -> bool:
         _check_canonical(K, self.k, self.n)
-        t = tuple(K)
-        if self.record and t in self.revealed:
-            return self.revealed[t]
-        hit = chain64(self.edge_key, t) < self.threshold
-        if self.record:
-            self.revealed[t] = hit
-        return hit
+        return chain64(self.edge_key, K) < self.threshold
 
     def bulk_query(self, cands: Candidates) -> np.ndarray:
         """Coin mask of every K of a Candidates, in its row order. The coins

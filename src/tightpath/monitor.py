@@ -259,7 +259,7 @@ def forbidden_counts(finder, f2_exact_limit: int = F2_EXACT_LIMIT) -> ForbiddenC
     n, k, j = finder.n, finder.k, finder.j
     d = k - j
     J = finder.stack[-1].jset
-    outside = len(finder.path_vertex_set) - j  # |V(P) \ J|; J is within the path
+    outside = int(finder.in_path.sum()) - j  # |V(P) \ J|; J is within the path
     f1 = math.comb(n - j, d) - math.comb(max(n - j - outside, 0), d)
     f1_bound = finder.ell * d * math.comb(n - j - 1, d - 1)
 
@@ -273,7 +273,7 @@ def forbidden_counts(finder, f2_exact_limit: int = F2_EXACT_LIMIT) -> ForbiddenC
     f2_exact = None
     if math.comb(n - j, d) <= f2_exact_limit:
         assert J not in finder.explored  # J is active, so only other j-sets block
-        outside_path = [v for v in range(n) if v not in finder.path_vertex_set]
+        outside_path = (~finder.in_path).nonzero()[0].tolist()
         f2_exact = sum(finder._q4_dead(tuple(sorted(J + X)))
                        for X in combinations(outside_path, d))
     return ForbiddenCounters(f1, f1_bound, f2_bound, f2_exact)

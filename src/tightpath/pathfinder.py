@@ -19,7 +19,14 @@ remaining position. Edge e_m equals the last a vertices of block m-1 plus
 blocks m..m+r, so a j-set activated from e_m has its partition parts at blocks
 m+1..m+r+1 and extends exactly when the path again has m edges. Extending
 reorders the donor block so the extender's C0 occupies its tail; no existing
-edge depends on that block's internal order at that moment.
+edge depends on that block's internal order at that moment. The blocks hold
+the path's order; ``in_path``, a boolean array over the vertices, is the one
+record of its vertex set, and Q2 reads it.
+
+Q3 is one cursor per active j-set: the (priority, K) of the last candidate
+queried from it. Both scans resume past it, and a scan cut by S2 or the budget
+leaves it at the last query the clock counted, so a stopped finder looks the
+same whichever scan ran.
 
 Each mode has one scan. Checked mode runs the generic (scalar) scan, the
 reference, which carries the invariant checks; it hashes only candidates that
@@ -31,15 +38,17 @@ of K, so a hash of every K reuses the prefix states its rows share instead
 of hashing k columns per row. It works in this order: Q4 (from an index of
 explored j-sets by their proper subsets), then the edge coins of all
 candidates, then the priority hashes, but only when Q3 needs them (a resumed
-scan), a live candidate succeeded or the trace level is full. A first scan
-with no live success would query every live candidate in turn, so its query
-count is the number of live candidates whatever their order. Nothing depends
-on the order of the rows: the winner is the least (priority, K) among live
-successes and the query count is the number of live rows below it. The scan reports the queries the
-scalar scan would make, in the same order and with the same cutoffs, so
-events, counts and traces are identical; at trace level full it lists them
-by sorting the live rows on (priority, K). Its vertex columns are int32, half
-the memory traffic of int64; PathFinder therefore refuses n >= 2^31.
+scan, or a cursor to leave at a cut), a live candidate succeeded or the trace
+level is full. A first scan with no live success would query every live
+candidate in turn, so its query count is the number of live candidates
+whatever their order. Nothing depends on the order of the rows: the winner is
+the least (priority, K) among live successes and the query count is the
+number of live rows below it. The scan reports the queries the scalar scan
+would make, in the same order and with the same cutoffs, so events, counts
+and traces are identical; a full trace lists them, and a cut finds its
+cursor, by sorting the live rows on (priority, K). Its vertex columns are
+int32, half the memory traffic of int64; PathFinder therefore refuses
+n >= 2^31.
 """
 
 from __future__ import annotations
@@ -53,9 +62,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import chain64, chain64_np, derive_key, mix64
+from ._rng import chain64, chain64_np, derive_key
 from .combinatorics import JTightPath, StructuralParams, structural_params
-from .hypergraph import Candidates, pack_rows, subset_cols  # subset_cols: re-exported
+from .hypergraph import Candidates, pack_rows
 from .monitor import EXHAUSTED, Monitor, StoppingConfig
 
 TRACE_LEVELS = ("summary", "events", "full")
@@ -82,18 +91,18 @@ class Batch:
 
 class ActiveRecord:
     """One active j-set: identity, extendable partition, spawning edge index,
-    owning batch, and the scan cursor for Q3 resume."""
+    owning batch, and its Q3 state: the (priority, K) cursor of the last
+    candidate queried from it, the same in both scans."""
 
-    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "idx", "cursor")
+    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "cursor")
 
     def __init__(self, jset, partition, edge_index, batch):
         self.jset = jset
         self.partition = partition
         self.edge_index = edge_index
         self.batch = batch
-        self.order = None  # generic scan: [(hash, K, X)] in query order
-        self.idx = 0
-        self.cursor = None  # vector scan: (hash, K row) of the last consumed candidate
+        self.order = None  # generic scan: iterator over its cached [(priority, K, X)]
+        self.cursor = None  # (priority, K) of the last candidate queried from J
 
 
 def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
@@ -315,8 +324,7 @@ class PathFinder:
 
         self.blocks: list[list[int]] = []
         self.edges: list[tuple] = []
-        self.path_vertex_set: set[int] = set()
-        self.in_path = np.zeros(self.n, dtype=bool)
+        self.in_path = np.zeros(self.n, dtype=bool)  # the path's vertex set
 
         self.stack: list[ActiveRecord] = []
         self.discovered: set[tuple] = set()
@@ -341,7 +349,6 @@ class PathFinder:
         self.blocks = [list(part) for part in partition]
         self.edges = []
         self.ell = 0
-        self.path_vertex_set = set(jset)
         self.in_path.fill(False)
         self.in_path[list(jset)] = True
 
@@ -353,7 +360,6 @@ class PathFinder:
         donor[:] = [v for v in donor if v not in c0] + sorted(c0)
         self.blocks.append(sorted(X))
         for v in X:
-            self.path_vertex_set.add(v)
             self.in_path[v] = True
         self.ell += 1
         self.max_ell = max(self.max_ell, self.ell)
@@ -368,7 +374,6 @@ class PathFinder:
         assert self.ell == batch.edge_index, "retreat out of position"
         gone = self.blocks.pop()
         for v in gone:
-            self.path_vertex_set.remove(v)
             self.in_path[v] = False
         self.edges.pop()
         self.ell -= 1
@@ -383,7 +388,7 @@ class PathFinder:
         assert len(self.blocks[0]) == p.a
         assert all(len(b) == self.d for b in self.blocks[1:])
         flat = [v for b in self.blocks for v in b]
-        assert set(flat) == self.path_vertex_set and len(flat) == len(self.path_vertex_set)
+        assert sorted(flat) == self.in_path.nonzero()[0].tolist()  # distinct, and in_path
         if self.ell >= 1:
             path = JTightPath(self.k, self.j, tuple(flat))
             assert list(path.edges()) == self.edges
@@ -400,7 +405,7 @@ class PathFinder:
     def _scalar_order(self, rec: ActiveRecord) -> list[tuple]:
         """[(priority, K, X)] over every X disjoint from the path, in query
         order, minus Q4-dead K: explored j-sets only accumulate, so those never revive."""
-        allowed = [v for v in range(self.n) if v not in self.path_vertex_set]
+        allowed = (~self.in_path).nonzero()[0].tolist()
         ent = []
         for X in combinations(allowed, self.d):
             K = tuple(sorted(rec.jset + X))
@@ -411,17 +416,15 @@ class PathFinder:
 
     def _scan_generic(self, rec: ActiveRecord):
         if rec.order is None:
-            rec.order = self._scalar_order(rec)
+            rec.order = iter(self._scalar_order(rec))
         t_stop = self._t_stop()
         full = self.trace_level == "full"
-        while rec.idx < len(rec.order):
-            _, K, X = rec.order[rec.idx]
+        for h, K, X in rec.order:
             if self._q4_dead(K):
-                rec.idx += 1
                 continue
             if self.audit:
                 self._audit_candidate(rec, X)
-            rec.idx += 1
+            rec.cursor = (h, K)
             self.t += 1
             outcome = self.H.query_edge(K)
             assert K not in self.queried_ksets, "duplicate k-set query"
@@ -436,7 +439,7 @@ class PathFinder:
         return ("exhausted",)
 
     def _audit_candidate(self, rec: ActiveRecord, X: tuple) -> None:
-        last = rec.order[rec.idx - 1][:2] if rec.idx else ()  # () precedes every entry
+        last = rec.cursor or ()  # () precedes every entry
         fam = [e[2] for e in self._scalar_order(rec) if e[:2] > last]
         assert fam and fam[0] == X, f"scan order diverged: {X} vs {fam[:1]}"
 
@@ -504,16 +507,26 @@ class PathFinder:
         if full:
             self._emit_queries(rec, cands, h, alive, succ, t0)
         if cut:
+            # Q3 as the generic scan leaves it: at the last row the clock counted
+            if h is None:
+                h = cands.hash(self.sigk_key)
+            last = self._query_order(cands, h, alive)[self.t - t0 - 1]
+            rec.cursor = (int(h[last]), cands.row(last))
             return ("stop", self.monitor.time_reason(self.t))
         if res[0] == "success":
             rec.cursor = (int(hmin), wrow)
         return res
 
-    def _emit_queries(self, rec: ActiveRecord, cands: Candidates, h, alive, succ, t0: int) -> None:
-        """One query event per clock tick since t0: the live rows in the
-        generic scan's (priority, K) order, cut where the clock stopped."""
+    @staticmethod
+    def _query_order(cands: Candidates, h: np.ndarray, alive: np.ndarray) -> np.ndarray:
+        """The live rows in the generic scan's (priority, K) query order."""
         live = np.flatnonzero(alive)
-        rows = live[np.lexsort(tuple(c[live] for c in reversed(cands)) + (h[live],))][: self.t - t0]
+        return live[np.lexsort(tuple(c[live] for c in reversed(cands)) + (h[live],))]
+
+    def _emit_queries(self, rec: ActiveRecord, cands: Candidates, h, alive, succ, t0: int) -> None:
+        """One query event per clock tick since t0: the live rows in query
+        order, cut where the clock stopped."""
+        rows = self._query_order(cands, h, alive)[: self.t - t0]
         edges = np.column_stack([c[rows] for c in cands]).tolist()
         for t, (K, outcome) in enumerate(zip(edges, succ[rows].tolist()), t0 + 1):
             self._emit({"event": "query", "t": t, "jset": list(rec.jset),
@@ -585,7 +598,7 @@ class PathFinder:
         assert self.activations + self.skips == p.batch_size * self.positives
         assert self.monitor.new_starts + self.activations == len(self.discovered)
         assert len(self.stack) + len(self.explored) == len(self.discovered)
-        assert all(set(r.jset) <= self.path_vertex_set for r in self.stack)
+        assert all(self.in_path[v] for r in self.stack for v in r.jset)
 
     def _step(self) -> Optional[str]:
         rec = self.stack[-1]
@@ -657,16 +670,14 @@ def run(
 def allowed_candidates(finder: PathFinder) -> list[tuple]:
     """The X = K\\J still queryable from the top-of-stack J, in query order.
 
-    Rebuilt from scratch (Q2 against the current path, Q3 against the scan
-    cursor, Q4 against the explored set), so it is usable with any engine.
+    Rebuilt from scratch: Q2 against ``in_path``, Q3 against the record's
+    (priority, K) cursor, which both scans keep, and Q4 against the explored
+    set. So it gives the same answer for either engine, after a stop too.
     """
     if not finder.stack:
         raise ValueError("no active j-set")
-    rec = finder.stack[-1]
-    if rec.order is not None:
-        return [X for _, K, X in rec.order[rec.idx:] if not finder._q4_dead(K)]
-    last = rec.cursor or ()  # () precedes every entry
-    return [e[2] for e in finder._scalar_order(rec) if e[:2] > last]
+    last = finder.stack[-1].cursor or ()  # () precedes every entry
+    return [e[2] for e in finder._scalar_order(finder.stack[-1]) if e[:2] > last]
 
 
 def retreat(finder: PathFinder) -> PathFinder:

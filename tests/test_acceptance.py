@@ -127,7 +127,7 @@ class GateFinder(PathFinder):
         if self.stack:
             self._check_invariants()
             st["identity_checks"] += 1
-            outside = len(self.path_vertex_set) - self.j
+            outside = int(self.in_path.sum()) - self.j
             f1 = math.comb(self.n - self.j, self.d) - math.comb(
                 self.n - self.j - outside, self.d
             )

@@ -191,8 +191,18 @@ def test_config_sets_flags_with_defaults_unless_given(tmp_path, capsys):
 def test_run_refuses_mode_generic(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "-n", "10", "-k", "3", "-p", "0.1", "-j", "2", "--mode", "generic"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "invalid choice: 'generic'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["-k", "-n"])
+def test_bad_int_flags_are_usage_errors(capsys, flag):
+    argv = {"-k": "3", "-n": "10", "-p": "0.1", "-j": "2", flag: "abc"}
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *(x for kv in argv.items() for x in kv)])
+    assert exc.value.code == 1  # 2 means a budget was hit
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"argument {flag}: invalid int value: 'abc'" in err
 
 
 def test_read_config_parsing(tmp_path):

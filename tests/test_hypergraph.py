@@ -92,12 +92,10 @@ def test_query_edge_raises_each_canonical_message(make):
 
 
 def test_lazy_repeat_query_is_stable():
-    for record in (False, True):
-        H = LazyHypergraph(30, 3, 0.4, seed=11, record=record)
-        first = [H.query_edge(K) for K in all_ksets(10, 3)]
-        second = [H.query_edge(K) for K in all_ksets(10, 3)]
-        assert first == second
-    assert len(H.revealed) == math.comb(10, 3)
+    H = LazyHypergraph(30, 3, 0.4, seed=11)
+    first = [H.query_edge(K) for K in all_ksets(10, 3)]
+    second = [H.query_edge(K) for K in all_ksets(10, 3)]
+    assert first == second
 
 
 def test_lazy_and_explicit_flip_the_same_coins():

@@ -221,8 +221,7 @@ def test_forbidden_counts_sees_explored_blockers():
     K = tuple(sorted(rec.jset + (x,)))
     finder._extend(rec, (x,), K)
     finder._activate(rec, K)
-    successor = finder.stack[-1]
-    successor.order = []
+    assert finder._scan(finder.stack[-1]) == ("exhausted",)
     retreat(finder)  # successor explored, edge removed, back at the start j-set
     fc = forbidden_counts(finder)
     assert finder.stack[-1] is rec and finder.ell == 0

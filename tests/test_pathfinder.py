@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath._rng import chain64, chain64_np, derive_key
-from tightpath.hypergraph import Candidates, ExplicitHypergraph, LazyHypergraph, generate_explicit
+from tightpath.hypergraph import (
+    Candidates,
+    ExplicitHypergraph,
+    LazyHypergraph,
+    generate_explicit,
+    subset_cols,
+)
 from tightpath.monitor import StoppingConfig
 from tightpath.oracle import longest_path_exact
 from tightpath.pathfinder import (
@@ -22,7 +28,6 @@ from tightpath.pathfinder import (
     replay_trace,
     retreat,
     run,
-    subset_cols,
 )
 
 
@@ -135,7 +140,7 @@ def test_allowed_candidates_q2_blocks():
     finder._new_start()
     J = finder.stack[-1].jset
     outside = [x for x in range(6) if x not in J]
-    finder.path_vertex_set.add(outside[0])
+    finder.in_path[outside[0]] = True
     assert set(allowed_candidates(finder)) == {(x,) for x in outside[1:]}
 
 
@@ -165,7 +170,7 @@ def brute_order(finder):
     ent = []
     for X in combinations(range(finder.n), finder.d):
         K = tuple(sorted(J + X))
-        if finder.path_vertex_set.isdisjoint(X) and not any(
+        if not finder.in_path[list(X)].any() and not any(
                 set(E) <= set(K) for E in finder.explored):
             ent.append((chain64(finder.sigk_key, K), K, X))
     return sorted(ent, key=lambda e: (e[0], e[1]))
@@ -193,11 +198,10 @@ def test_scalar_order_hashes_only_live_candidates(monkeypatch):
             got = a._scalar_order(a.stack[-1])
             assert got == want
             assert len(calls) == len(got)
-            pruned += len(got) < math.comb(n - len(a.path_vertex_set), a.d)
+            pruned += len(got) < math.comb(n - np.count_nonzero(a.in_path), a.d)
             # still queryable: every live candidate past the last one queried
-            rec = c.stack[-1]
-            last = None if rec.order is None else rec.order[rec.idx - 1][:2]
-            assert last == a.stack[-1].cursor
+            last = a.stack[-1].cursor
+            assert last == c.stack[-1].cursor
             left = [X for h, K, X in want if last is None or (h, K) > last]
             assert allowed_candidates(a) == allowed_candidates(c) == left
         assert pruned, (k, j)
@@ -207,7 +211,7 @@ def test_retreat_explores_a_spent_start():
     finder = PathFinder(empty_H(6), j=2, mode="checked")
     finder._new_start()
     rec = finder.stack[-1]
-    rec.order = []  # pretend the scan ran dry
+    assert finder._scan(rec) == ("exhausted",)
     retreat(finder)
     assert rec.jset in finder.explored
     assert not finder.stack
@@ -233,11 +237,11 @@ def test_retreat_removes_the_edge_of_a_spent_batch():
     assert finder.ell == 1 and finder.edges == [K]
     top = finder.stack[-1]
     assert top.edge_index == 1
-    top.order = []
+    assert finder._scan(top) == ("exhausted",)
     retreat(finder)
     assert top.jset in finder.explored
     assert finder.ell == 0 and finder.edges == []
-    assert finder.path_vertex_set == set(rec.jset)
+    assert set(np.flatnonzero(finder.in_path)) == set(rec.jset)
 
 
 # -- whole-run behaviour ------------------------------------------------------
@@ -417,6 +421,10 @@ def test_vertex_labels_must_fit_int32():
         PathFinder(Stub(), j=2)
 
 
+MID_SCAN_CASES = [(11, 3, 1, 0.05), (9, 3, 2, 0.2), (12, 2, 1, 0.15), (11, 4, 1, 0.02),
+                  (8, 4, 2, 0.1), (8, 4, 3, 0.3), (9, 5, 2, 0.04), (8, 5, 3, 0.15)]
+
+
 def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_modes):
     """Budget and S2 cutoffs at every clock value 1..queries, so cutoffs land
     inside first scans (which hash no priorities unless a candidate succeeds
@@ -440,9 +448,7 @@ def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_mod
 
     monkeypatch.setattr(PathFinder, "_scan_kernel", spy)
     monkeypatch.setattr(PathFinder, "_q4_mask", q4_spy)
-    cases = [(11, 3, 1, 0.05), (9, 3, 2, 0.2), (12, 2, 1, 0.15), (11, 4, 1, 0.02),
-             (8, 4, 2, 0.1), (8, 4, 3, 0.3), (9, 5, 2, 0.04), (8, 5, 3, 0.15)]
-    for n, k, j, p in cases:
+    for n, k, j, p in MID_SCAN_CASES:
         for seed in range(3):
             H = generate_explicit(n, k, p, seed=seed)
             total = run(H, k, j, seed=seed, mode="checked").queries
@@ -454,7 +460,7 @@ def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_mod
                     assert a.events == c.events
                     assert summary_no_ms(a) == summary_no_ms(c)
     assert "auto" not in generic_modes
-    for _, k, j, _ in cases:
+    for _, k, j, _ in MID_SCAN_CASES:
         for level in ("events", "full"):
             for first in (True, False):
                 for outcome in ("exhausted", "success", "stop"):
@@ -462,6 +468,30 @@ def test_kernels_match_generic_scan_at_mid_scan_cutoffs(monkeypatch, generic_mod
     # candidates holding two vertices of an explored j-set were masked
     for k, j in [(4, 2), (5, 2), (5, 3)]:
         assert ("q4-subset", k, j) in seen
+
+
+def test_engines_leave_one_cursor_at_mid_scan_stops():
+    """After every budget and S2 stop that leaves an active j-set, both
+    engines leave its Q3 cursor at the last query counted, so inspecting the
+    stopped finder gives one answer. Budget runs keep a summary trace, whose
+    first scans hash no priorities; S2 runs list every query."""
+    stopped = 0
+    for n, k, j, p in MID_SCAN_CASES:
+        for seed in range(3):
+            H = generate_explicit(n, k, p, seed=seed)
+            total = run(H, k, j, seed=seed, mode="checked").queries
+            for b in range(1, total + 1):
+                for cfg, level in ((StoppingConfig(enabled=frozenset(), budget=b), "summary"),
+                                   (StoppingConfig(T0=b, enabled=frozenset({"S2"})), "full")):
+                    a, c = (PathFinder(H, j, seed=seed, stopping=cfg, mode=m, trace_level=level)
+                            for m in ("auto", "checked"))
+                    a.run()
+                    c.run()
+                    if c.stack:
+                        stopped += 1
+                        assert a.stack[-1].cursor == c.stack[-1].cursor
+                        assert allowed_candidates(a) == allowed_candidates(c)
+    assert stopped > 1000
 
 
 @st.composite
