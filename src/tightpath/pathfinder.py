@@ -24,9 +24,9 @@ the path's order; ``in_path``, a boolean array over the vertices, is the one
 record of its vertex set, and Q2 reads it.
 
 Q3 is one cursor per active j-set: the (priority, K) of the last candidate
-queried from it. Both scans resume past it, and a scan cut by S2 or the budget
-leaves it at the last query the clock counted, so a stopped finder looks the
-same whichever scan ran.
+queried from it. Both scans resume past it, a scan cut by S2 or the budget
+leaves it at the last query the clock counted, and a scan that runs dry leaves
+it past every candidate, so a stopped finder looks the same whichever scan ran.
 
 Each mode has one scan. Checked mode runs the generic (scalar) scan, the
 reference, which carries the invariant checks; it hashes only candidates that
@@ -62,9 +62,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rng import chain64, chain64_np, derive_key
+from ._rng import MASK64, chain64, chain64_np, derive_key
 from .combinatorics import JTightPath, StructuralParams, structural_params
-from .hypergraph import Candidates, pack_rows
+from .hypergraph import Candidates, _run_lens, pack_rows, subset_cols
 from .monitor import EXHAUSTED, Monitor, StoppingConfig
 
 TRACE_LEVELS = ("summary", "events", "full")
@@ -102,7 +102,7 @@ class ActiveRecord:
         self.edge_index = edge_index
         self.batch = batch
         self.order = None  # generic scan: iterator over its cached [(priority, K, X)]
-        self.cursor = None  # (priority, K) of the last candidate queried from J
+        self.cursor = None  # (priority, K) last queried from J; past every K once spent
 
 
 def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
@@ -134,11 +134,17 @@ def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
 
 
 class _NeutralStream:
-    """Yields neutral j-sets in priority order, skipping discovered ones.
+    """Yields neutral j-sets in (chain64(key, J), J) order, skipping
+    discovered ones.
 
-    Small universes are materialized and argsorted once; larger ones keep a
-    top-M reservoir refreshed by chunked scans over colex ranks (M quadruples
-    whenever the reservoir runs dry before the universe does).
+    Small universes are materialized and sorted once; larger ones keep the
+    top-M by hash in a reservoir (M quadruples whenever the reservoir runs
+    dry before the universe does). A build walks the j-sets in lexicographic
+    order, in chunks of at most CHUNK rows. The j-sets that start at vertex
+    u are u followed by the last C(n-1-u, j-1) rows of the lexicographic
+    (j-1)-subset table of range(n), so each row hashes as that tail against
+    the prefix state chain64(key, (u,)), computed once per u. Only the kept
+    lexicographic indices are mapped back to vertex rows.
     """
 
     def __init__(self, n: int, j: int, key: int, discovered: set):
@@ -149,25 +155,51 @@ class _NeutralStream:
         self._ptr = 0
         self._rows = self._build(self.total if self.total <= MATERIALIZE_LIMIT else self.limit)
 
-    def _build(self, m: int) -> np.ndarray:
-        from .hypergraph import colex_tables, unrank_colex
+    @staticmethod
+    def _chunks(lens: list[int]):
+        """(first index, [(u, a, b)]) per chunk of at most CHUNK rows, in
+        lexicographic order: rows a..b-1 of the run of first vertex u."""
+        lo, size, segs = 0, 0, []
+        for u, run in enumerate(lens):
+            a = 0
+            while a < run:
+                b = min(run, a + CHUNK - size)
+                segs.append((u, a, b))
+                size, a = size + b - a, b
+                if size == CHUNK:
+                    yield lo, segs
+                    lo, size, segs = lo + size, 0, []
+        if segs:
+            yield lo, segs
 
-        tables = colex_tables(self.n, self.j)
+    def _build(self, m: int) -> np.ndarray:
+        tails = subset_cols(np.arange(self.n), self.j - 1) if self.j > 1 else []
+        end = math.comb(self.n, self.j - 1)  # rows of the tail table
+        lens = _run_lens(self.n, self.j)  # rows that start at u = 0, 1, ..., n-j
+        pre = chain64_np(self.key, [np.arange(len(lens))])
         keep_h = np.empty(0, dtype=np.uint64)
-        keep_r = np.empty(0, dtype=np.int64)
-        for lo in range(0, self.total, CHUNK):
-            ranks = np.arange(lo, min(lo + CHUNK, self.total), dtype=np.int64)
-            cols = unrank_colex(ranks, self.j, self.n, tables)
-            h = chain64_np(self.key, [cols[:, c] for c in range(self.j)])
-            h = np.concatenate([keep_h, h])
-            ranks = np.concatenate([keep_r, ranks])
-            if len(h) > m:
-                idx = np.argpartition(h, m - 1)[:m]
-                h, ranks = h[idx], ranks[idx]
-            keep_h, keep_r = h, ranks
-        cols = unrank_colex(keep_r, self.j, self.n, tables)
-        order = np.lexsort(tuple(cols[:, c] for c in reversed(range(self.j))) + (keep_h,))
-        return cols[order]
+        keep_i = np.empty(0, dtype=np.int64)
+        for lo, segs in self._chunks(lens):
+            h = np.repeat(pre[[u for u, _, _ in segs]], [b - a for _, a, b in segs])
+            if tails:
+                h = chain64_np(h, [np.concatenate([col[end - lens[u] + a : end - lens[u] + b]
+                                                   for u, a, b in segs]) for col in tails])
+            if keep_h.size == m:  # only rows below the current M-th least can enter
+                sel = np.flatnonzero(h < keep_h.max())
+                h, idx = h[sel], lo + sel
+            else:
+                idx = np.arange(lo, lo + h.size)
+            h, idx = np.concatenate([keep_h, h]), np.concatenate([keep_i, idx])
+            if h.size > m:
+                part = np.argpartition(h, m - 1)[:m]
+                h, idx = h[part], idx[part]
+            keep_h, keep_i = h, idx
+        # lexicographic index order is row order, so it breaks hash ties as J does
+        idx = keep_i[np.lexsort((keep_i, keep_h))]
+        ends = np.cumsum(lens, dtype=np.int64)
+        u = np.searchsorted(ends, idx, side="right")
+        rows = [u] + [col[end - ends[u] + idx] for col in tails]
+        return np.column_stack(rows).astype(np.int64, copy=False)
 
     def pop(self) -> Optional[tuple]:
         while True:
@@ -533,7 +565,10 @@ class PathFinder:
                         "edge": K, "outcome": outcome})
 
     def _scan(self, rec: ActiveRecord):
-        return self._scan_generic(rec) if self.checked else self._scan_kernel(rec)
+        res = self._scan_generic(rec) if self.checked else self._scan_kernel(rec)
+        if res[0] == "exhausted":  # past every (priority, K): nothing is left to query
+            rec.cursor = (MASK64, (self.n,))
+        return res
 
     # -- search loop ---------------------------------------------------------
 

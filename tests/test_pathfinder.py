@@ -218,6 +218,21 @@ def test_retreat_explores_a_spent_start():
     assert finder.ell == 0
 
 
+@pytest.mark.parametrize("mode", ["auto", "checked"])
+def test_dry_scan_leaves_no_candidates_in_either_mode(mode):
+    """A scan that runs dry without a cut leaves its record spent, whichever
+    engine ran it: nothing to list, and retreat accepts it."""
+    finder = PathFinder(empty_H(6), j=2, mode=mode)
+    finder._new_start()
+    rec = finder.stack[-1]
+    assert finder._scan(rec) == ("exhausted",)
+    assert finder.t == 4
+    assert allowed_candidates(finder) == []
+    assert finder._scan(rec) == ("exhausted",) and finder.t == 4
+    retreat(finder)
+    assert rec.jset in finder.explored and not finder.stack
+
+
 def test_retreat_refuses_live_candidates():
     finder = PathFinder(empty_H(6), j=2, mode="checked")
     finder._new_start()
@@ -772,6 +787,63 @@ def test_neutral_stream_skips_discovered():
     assert first == order[1]
     discovered.add(order[3])  # discovered mid-flight, before the pointer gets there
     assert stream.pop() == order[5]
+
+
+def pop_all(stream):
+    """Every row the stream yields, each marked discovered as the search does."""
+    got = []
+    while (row := stream.pop()) is not None:
+        stream.discovered.add(row)
+        got.append(row)
+    return got
+
+
+# (n, j) universes in which, for j >= 2, a first vertex's run of
+# C(n-1, j-1) rows is longer than a 5-row chunk, and for j >= 3 than a
+# 64-row one too
+STREAM_SHAPES = [(13, 1), (13, 2), (13, 3), (10, 4)]
+
+
+@pytest.mark.parametrize("chunk", [5, 64, None])
+@pytest.mark.parametrize("n, j", STREAM_SHAPES)
+def test_neutral_stream_matches_brute_order(monkeypatch, n, j, chunk):
+    """Chunk edges inside first-vertex runs, across them, and a run longer
+    than a chunk change nothing: the stream is the brute (priority, J) order,
+    and no chunk hashes more than CHUNK rows."""
+    import tightpath.pathfinder as pf
+
+    if chunk is not None:
+        monkeypatch.setattr(pf, "CHUNK", chunk)
+    chunk_rows = []
+
+    def spy(key, cols):
+        if np.ndim(key):  # a chunk's tails against its repeated prefix states
+            chunk_rows.append(np.size(key))
+        return chain64_np(key, cols)
+
+    monkeypatch.setattr(pf, "chain64_np", spy)
+    for seed in (1, 2, 3):
+        key = derive_key(seed, "sigma-j")
+        assert pop_all(_NeutralStream(n, j, key, set())) == brute_priority(n, j, key)
+    assert max(chunk_rows, default=0) <= pf.CHUNK
+    assert sum(chunk_rows) == (3 * math.comb(n, j) if j > 1 else 0)
+
+
+@pytest.mark.parametrize("chunk", [5, 64])
+@pytest.mark.parametrize("n, j", STREAM_SHAPES)
+def test_neutral_stream_small_reservoir_refresh(monkeypatch, n, j, chunk):
+    """A reservoir of 3 rows refreshes (x4) until the universe runs out, with
+    chunks full of rows that cannot enter the kept set."""
+    import tightpath.pathfinder as pf
+
+    monkeypatch.setattr(pf, "MATERIALIZE_LIMIT", 10)
+    monkeypatch.setattr(pf, "RESERVOIR_SIZE", 3)
+    monkeypatch.setattr(pf, "CHUNK", chunk)
+    key = derive_key(8, "sigma-j")
+    stream = _NeutralStream(n, j, key, set())
+    assert len(stream._rows) == 3 < stream.total
+    assert pop_all(stream) == brute_priority(n, j, key)
+    assert stream.limit == stream.total
 
 
 def test_neutral_stream_reservoir_refresh():
