@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
 def _build_stopping(args, n: int) -> StoppingConfig | None:
     budget = args.budget
     if args.stopping in (None, "none"):
-        if budget is None and args.target is None:
+        if budget is None and args.target is None and args.t0 is None:
             return None
         target = math.inf if args.target is None else args.target
         t0 = math.inf if args.t0 is None else args.t0

@@ -37,10 +37,10 @@ around J's vertices, in blocks in which J's vertices sit at fixed positions
 of K, so a hash of every K reuses the prefix states its rows share instead
 of hashing k columns per row. It works in this order: Q4 (from an index of
 explored j-sets by their proper subsets), then the edge coins of all
-candidates, then the priority hashes, but only when Q3 needs them (a resumed
-scan, or a cursor to leave at a cut), a live candidate succeeded or the trace
-level is full. A first scan with no live success would query every live
-candidate in turn, so its query count is the number of live candidates
+candidates, then the priority hashes, but only when Q3 needs them (a rescan
+past a cursor, or a cursor to leave at a cut), a live candidate succeeded or
+the trace level is full. A first scan with no live success would query every
+live candidate in turn, so its query count is the number of live candidates
 whatever their order. Nothing depends on the order of the rows: the winner is
 the least (priority, K) among live successes and the query count is the
 number of live rows below it. The scan reports the queries the scalar scan
@@ -49,6 +49,20 @@ and traces are identical; a full trace lists them, and a cut finds its
 cursor, by sorting the live rows on (priority, K). Its vertex columns are
 int32, half the memory traffic of int64; PathFinder therefore refuses
 n >= 2^31.
+
+A record is scanned again only once the batch its success spawned is
+explored and that edge removed, so the path has the same vertex set, and the
+only change is the j-sets explored in between. Those share at most j-(k-j)
+vertices with J. So for j >= k-j each of them kills at most one candidate
+row, and a scan that ends on a success stores on its record the live
+successes past the new cursor and the number of live rows in each gap around
+them. The record's next scan, below the trace level full, replays the Q4
+kills filed since then against that state: a kill drops a stored success or
+one row of its gap, and the answer is the first stored success or
+exhaustion, with no coin or priority hashed. It rescans as above only where
+the clock would cut the scan, or on a kill of more than one row, which only
+a finder driven by hand can meet. For j < k-j each explored j-set of the
+subtree kills every row through its vertices, so nothing is stored.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -92,9 +107,17 @@ class Batch:
 class ActiveRecord:
     """One active j-set: identity, extendable partition, spawning edge index,
     owning batch, and its Q3 state: the (priority, K) cursor of the last
-    candidate queried from it, the same in both scans."""
+    candidate queried from it, the same in both scans.
 
-    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "cursor")
+    A vector scan with j >= k-j that ends on a success (below the trace level
+    full, and not cut by the clock) also leaves ``resume`` for the record's
+    next scan: the live successes past the cursor as (priority, K) in query
+    order, the number of live rows in each gap before, between and after
+    them, and (T, len(explored_by[T])) for every T under which a Q4 kill of
+    J's candidates is filed. That is O(successes) ints, never a row.
+    """
+
+    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "cursor", "resume")
 
     def __init__(self, jset, partition, edge_index, batch):
         self.jset = jset
@@ -103,6 +126,7 @@ class ActiveRecord:
         self.batch = batch
         self.order = None  # generic scan: iterator over its cached [(priority, K, X)]
         self.cursor = None  # (priority, K) last queried from J; past every K once spent
+        self.resume = None  # vector scan: (successes, gap counts, explored_by marks)
 
 
 def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
@@ -497,10 +521,77 @@ class PathFinder:
                 alive[i] = True
         return alive
 
+    def _marks(self, J: tuple) -> tuple:
+        """(T, len(explored_by[T])) for each T under which _explore_top files
+        a Q4 kill of J's candidates: the (j-i)-subsets of J, 1 <= i <= min(j, d)."""
+        return tuple((T, len(self.explored_by.get(T, ()))) for i in range(1, min(self.j, self.d) + 1)
+                     for T in combinations(J, self.j - i))
+
+    def _replay(self, rec: ActiveRecord):
+        """The record's stored successes and gap counts after the Q4 kills
+        filed since its last scan, or None when a kill drops more than one row.
+
+        The path has the same vertex set as at that scan (see the module
+        docstring). So a new entry S under T kills one row, K = J u S, when
+        |S| = d and S misses the path, and none when S meets it. Such a K
+        changes nothing if it held an explored j-set before (it was dead then)
+        or lies at or behind the cursor (it was queried); else it was a stored
+        success or a live row of one gap."""
+        later, gaps, marks = rec.resume
+        new = [(T, S) for T, m in marks for S in self.explored_by.get(T, ())[m:]
+               if not any(self.in_path[v] for v in S)]
+        if any(len(S) < self.d for _, S in new):
+            return None
+        fresh = {tuple(sorted(T + S)) for T, S in new}
+        for K in dict.fromkeys(tuple(sorted(rec.jset + S)) for _, S in new):
+            if not self.explored.isdisjoint(set(combinations(K, self.j)) - fresh):
+                continue
+            key = (chain64(self.sigk_key, K), K)
+            if key <= rec.cursor:
+                continue
+            i = bisect_left(later, key)
+            if i < len(later) and later[i] == key:
+                del later[i]
+                gaps[i : i + 2] = [gaps[i] + gaps[i + 1]]
+            else:
+                gaps[i] -= 1
+        return later, gaps
+
+    def _learn(self, rec: ActiveRecord, cands: Candidates, h, past, succ) -> None:
+        """Leave ``rec.resume`` from a scan that ended on a success; ``past``
+        marks the live rows beyond its new cursor."""
+        later = sorted((int(h[i]), cands.row(i)) for i in np.flatnonzero(past & succ))
+        gaps = [int(np.count_nonzero(past))]
+        if later:
+            rows = np.flatnonzero(past & ~succ)
+            hs, hr = np.array([e[0] for e in later], dtype=np.uint64), h[rows]
+            gap = np.searchsorted(hs, hr)
+            for m in np.flatnonzero(hs.take(gap, mode="clip") == hr):  # equal priorities: K breaks the tie
+                gap[m] = bisect_left(later, (int(hr[m]), cands.row(rows[m])))
+            gaps = np.bincount(gap, minlength=len(later) + 1).tolist()
+        rec.resume = (later, gaps, self._marks(rec.jset))
+
     def _scan_kernel(self, rec: ActiveRecord):
+        # A resumed scan answers from what the record's last scan stored. It
+        # rescans only on a kill of more than one row or where the clock would
+        # cut it (t0 + q > t_stop on a success, >= t_stop on exhaustion), so
+        # a cut leaves its cursor exactly as a rescan does.
+        t0, t_stop = self.t, self._t_stop()
+        kept = self._replay(rec) if rec.resume else None
+        rec.resume = None
+        if kept is not None:
+            later, gaps = kept
+            if later and t0 + gaps[0] + 1 <= t_stop:
+                self.t, rec.cursor = t0 + gaps[0] + 1, later[0]
+                rec.resume = (later[1:], gaps[1:], self._marks(rec.jset))
+                K = later[0][1]
+                return ("success", tuple(v for v in K if v not in rec.jset), K)
+            if not later and (gaps[0] == 0 or t0 + gaps[0] < t_stop):
+                self.t = t0 + gaps[0]
+                return ("exhausted",)
         # Work order: the Q4 mask, then the coins, then the priorities only
-        # when Q3 needs them (a resumed scan), a full trace lists the queries,
-        # or a live candidate succeeded.
+        # when Q3 needs them (a rescan past a cursor), a full trace lists the
+        # queries, or a live candidate succeeded.
         # Hashing has no side effects, so the order changes no outcome; and a
         # first scan without a success queries every live candidate, so its
         # query count needs no priorities at all. Nothing depends on the order
@@ -520,17 +611,16 @@ class PathFinder:
 
         if not alive.any():
             return ("exhausted",)
-        t0, t_stop = self.t, self._t_stop()
         succ = alive & self.H.bulk_query(cands)
         if succ.any():
             if h is None:
                 h = cands.hash(self.sigk_key)
             hmin = h[succ].min()
             wrow, win = min((cands.row(i), i) for i in np.flatnonzero(succ & (h == hmin)))
-            q = int(np.count_nonzero(alive & (h < hmin))) + 1
+            past = alive & (h > hmin)  # the live rows beyond the winner
             for i in np.flatnonzero(alive & (h == hmin)):
-                if i != win and cands.row(i) < wrow:
-                    q += 1
+                past[i] = i != win and cands.row(i) > wrow
+            q = int(np.count_nonzero(alive)) - int(np.count_nonzero(past))
             res, cut = ("success", cands.xrow(win), wrow), t0 + q > t_stop
         else:  # a failed query at t_stop stops the run; a success there stands
             q = int(np.count_nonzero(alive))
@@ -547,6 +637,8 @@ class PathFinder:
             return ("stop", self.monitor.time_reason(self.t))
         if res[0] == "success":
             rec.cursor = (int(hmin), wrow)
+            if not full and self.j >= self.d:
+                self._learn(rec, cands, h, past, succ)
         return res
 
     @staticmethod

@@ -142,6 +142,18 @@ def test_run_standard_stopping_flag(capsys):
     assert code == 1  # --eps is required with a named rule
 
 
+def test_run_t0_alone_stops_at_s2(capsys):
+    """--t0 with --stopping none arms S2 by itself, as it does beside --target."""
+    argv = ("run", "-n", "30", "-k", "3", "-j", "2", "-p", "0.2", "--seed", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and int(summary_dict(out)["queries"]) > 5
+    for extra in ((), ("--target", "1000")):
+        code, out, _ = run_cli(capsys, *argv, "--t0", "5", *extra)
+        assert code == 0
+        summary = summary_dict(out)
+        assert (summary["stop_reason"], summary["queries"]) == ("S2", "5")
+
+
 def test_oracle_censored_exit_code(tmp_path, capsys):
     hpath = tmp_path / "h.txt"
     run_cli(capsys, "gen", "-k", "3", "-n", "12", "-p", "0.3", "--out", str(hpath))

@@ -20,6 +20,9 @@ from tightpath.hypergraph import (
 from tightpath.monitor import StoppingConfig
 from tightpath.oracle import longest_path_exact
 from tightpath.pathfinder import (
+    TRACE_LEVELS,
+    ActiveRecord,
+    Batch,
     PathFinder,
     RunTrace,
     _NeutralStream,
@@ -314,13 +317,16 @@ def test_lazy_and_explicit_runs_are_identical():
 @pytest.mark.parametrize("n, k, j, p, seeds", [(18, 3, 2, 0.12, 10), (20, 2, 1, 0.06, 6),
                                                (14, 3, 1, 0.02, 10)])
 def test_vector_scan_matches_checked_scan(generic_modes, n, k, j, p, seeds):
+    """At every trace level: below full, resumed vector scans replay what the
+    record's last scan stored; at full they always rescan."""
     for seed in range(seeds):
         H = generate_explicit(n, k, p, seed=seed)
-        a = run(H, k, j, seed=seed, trace_level="full")
-        assert "auto" not in generic_modes
-        c = run(H, k, j, seed=seed, mode="checked", trace_level="full")
-        assert a.events == c.events
-        assert summary_no_ms(a) == summary_no_ms(c)
+        for level in TRACE_LEVELS:
+            a = run(H, k, j, seed=seed, trace_level=level)
+            assert "auto" not in generic_modes
+            c = run(H, k, j, seed=seed, mode="checked", trace_level=level)
+            assert a.events == c.events
+            assert summary_no_ms(a) == summary_no_ms(c)
     assert "checked" in generic_modes
 
 
@@ -509,6 +515,185 @@ def test_engines_leave_one_cursor_at_mid_scan_stops():
     assert stopped > 1000
 
 
+# more resumable shapes (d = 1), and (4, 2) at n = 9, where a kill can hit a row
+# that already held an explored j-set at the record's last scan
+RESUME_CASES = MID_SCAN_CASES + [(10, 3, 2, 0.2), (9, 4, 3, 0.2), (8, 5, 4, 0.2), (9, 4, 2, 0.2)]
+
+
+def test_resumed_scans_match_checked_scan_at_cutoffs(monkeypatch):
+    """Budget cutoffs at every clock value 1..queries, at the two trace levels
+    (taken in turn) where a resumed vector scan replays its record's stored
+    successes and gap counts. A spy classifies each Q4 kill since the
+    record's last scan from the explored sets alone and shows every branch of
+    the replay fired: fast success and exhaustion, gap decrement, success
+    merge, old-dead skip, and the rescan at a clock cut. It also shows that
+    no kill in a run drops more than one row, and that shapes with j < k-j
+    store nothing (the rescan on a multi-row kill is shown by hand-driven
+    finders below)."""
+    seen = set()
+    scan = PathFinder._scan_kernel
+    q4_mask = PathFinder._q4_mask
+    explored_at = {}  # record -> explored j-sets when it last stored a resume
+
+    def q4_spy(self, J, cands):
+        seen.add("rescan")
+        return q4_mask(self, J, cands)
+
+    def classify(self, rec, later):
+        old, J = explored_at[rec], set(rec.jset)
+        kinds = set()
+        for E in self.explored - old:
+            S = tuple(sorted(set(E) - J))
+            if len(S) > self.d or any(self.in_path[v] for v in S):
+                continue  # E lies in no candidate of J
+            if len(S) < self.d:
+                kinds.add("multi-row kill")
+                continue
+            K = tuple(sorted(J.union(S)))
+            key = (chain64(self.sigk_key, K), K)
+            if old.intersection(combinations(K, self.j)):
+                kinds.add("old-dead skip")
+            elif key > rec.cursor:
+                kinds.add("success merge" if key in {e[:2] for e in later} else "gap decrement")
+        return kinds
+
+    def spy(self, rec):
+        kinds = classify(self, rec, rec.resume[0]) if rec.resume else None
+        seen.discard("rescan")
+        res = scan(self, rec)
+        rescanned = "rescan" in seen
+        if kinds is not None:
+            assert "multi-row kill" not in kinds
+            if rescanned:  # only where the clock cuts
+                assert res[0] == "stop"
+                seen.add("rescan at a cut")
+            else:
+                seen.update({"fast " + res[0]} | kinds)
+        if rec.resume:
+            explored_at[rec] = set(self.explored)
+        assert rec.resume is None or self.j >= self.d
+        return res
+
+    monkeypatch.setattr(PathFinder, "_scan_kernel", spy)
+    monkeypatch.setattr(PathFinder, "_q4_mask", q4_spy)
+    for n, k, j, p in RESUME_CASES:
+        for seed in range(3):
+            H = generate_explicit(n, k, p, seed=seed)
+            total = run(H, k, j, seed=seed, mode="checked").queries
+            for b in range(1, total + 1):
+                cfg = StoppingConfig(enabled=frozenset(), budget=b)
+                a, c = (PathFinder(H, j, seed=seed, stopping=cfg, mode=m,
+                                   trace_level=("summary", "events")[b % 2])
+                        for m in ("auto", "checked"))
+                ta, tc = a.run(), c.run()
+                assert ta.events == tc.events
+                assert summary_no_ms(ta) == summary_no_ms(tc)
+                if c.stack:
+                    assert a.stack[-1].cursor == c.stack[-1].cursor
+    assert {"fast success", "fast exhausted", "gap decrement", "success merge", "old-dead skip",
+            "rescan at a cut"} <= seen
+
+
+@pytest.mark.parametrize("J, edges, explore, rebuilt", [
+    # two j-sets inside the one row (0, 1, 2, 5), and one through vertex 9,
+    # which is on the path outside J and so in no candidate: no rescan
+    ((0, 1, 2), [(0, 1, 2, v) for v in (3, 4, 6, 7, 8)], [(0, 1, 5), (0, 2, 5), (1, 2, 9)], 0),
+    # (0, 5) kills every row through 5: one rescan, then the replay again
+    ((0, 1), [(0, 1, v, w) for v, w in combinations(range(2, 9), 2) if (v + w) % 3 == 0],
+     [(0, 5)], 1),
+])
+def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
+    """Hand-driven k = 4 finders with vertex 9 on the path beside J. After a
+    scan of J succeeds, the given j-sets are explored; every later scan of J
+    answers as the checked scan does, and auto mode builds candidates again
+    only for a kill of more than one row. Over the seeds, the row
+    (0, 1, 2, 5) lies beyond the first cursor, in a gap, at least once."""
+    H = ExplicitHypergraph(10, 4, edges)
+    beyond = set()
+    for seed in range(6):
+        runs, builds = {}, []
+        for mode in ("auto", "checked"):
+            f = PathFinder(H, len(J), seed=seed, mode=mode)
+            f.in_path[[*J, 9]] = True
+            rec = ActiveRecord(J, None, 0, Batch(0))
+            f.stack = [rec]
+            steps = [f._scan(rec)]
+            for E in explore:
+                f.stack.append(ActiveRecord(E, None, 0, Batch(0)))
+                f.stack[-1].batch.remaining = 1
+                f._explore_top()
+            f._q4_mask = lambda J, cands, q4=f._q4_mask: builds.append(J) or q4(J, cands)
+            while steps[-1][0] == "success":
+                steps.append((f._scan(rec), f.t, rec.cursor))
+            runs[mode] = steps
+        assert runs["auto"] == runs["checked"]
+        assert len(builds) == rebuilt
+        K, first = (0, 1, 2, 5), runs["auto"][0][2]
+        beyond.add((chain64(f.sigk_key, K), K) > (chain64(f.sigk_key, first), first))
+    assert True in beyond
+
+
+def test_resumed_scans_break_priority_ties_on_K(monkeypatch):
+    """With priorities cut to two bits most candidates tie, so the stored
+    successes, the gap counts and the replayed kills all order by K."""
+    import tightpath.pathfinder as pf
+
+    cands_hash, scalar_hash = Candidates.hash, pf.chain64
+    monkeypatch.setattr(Candidates, "hash", lambda self, key: cands_hash(self, key) & np.uint64(3))
+    monkeypatch.setattr(pf, "chain64", lambda key, K: scalar_hash(key, K) & 3)
+    for n, k, j, p in [(14, 3, 2, 0.25), (12, 2, 1, 0.3), (10, 4, 3, 0.2), (9, 5, 4, 0.2)]:
+        for seed in range(2):
+            H = generate_explicit(n, k, p, seed=seed)
+            total = run(H, k, j, seed=seed, mode="checked").queries
+            for b in range(1, total + 1, max(1, total // 12)):
+                cfg = StoppingConfig(enabled=frozenset(), budget=b)
+                for level in TRACE_LEVELS:
+                    a, c = (run(H, k, j, seed=seed, stopping=cfg, mode=m, trace_level=level)
+                            for m in ("auto", "checked"))
+                    assert a.events == c.events
+                    assert summary_no_ms(a) == summary_no_ms(c)
+
+
+def test_resumed_vector_scans_query_no_backend():
+    """Counting guard on lazy (3, 2) runs: bulk_query is called once per
+    first scan with a live candidate and once per resumed scan that fell back
+    to building its candidates, and never by a resumed scan answered from its
+    record's stored state. (3, 2) has no multi-row kills and these runs no
+    clock, so nothing falls back."""
+
+    class Spy:
+        def __init__(self, H):
+            self.H, self.n, self.k, self.calls = H, H.n, H.k, 0
+
+        def bulk_query(self, cols):
+            self.calls += 1
+            return self.H.bulk_query(cols)
+
+    counts = {"first": 0, "resumed": 0, "fallback": 0, "dry": 0, "bulk_query": 0, "rebuilt": 0}
+
+    class Finder(PathFinder):
+        def _q4_mask(self, J, cands):  # every scan that builds candidates runs it
+            counts["rebuilt"] += 1
+            return super()._q4_mask(J, cands)
+
+        def _scan_kernel(self, rec):
+            kind, t, rebuilt = "first" if rec.cursor is None else "resumed", self.t, counts["rebuilt"]
+            res = super()._scan_kernel(rec)
+            counts[kind] += 1
+            counts["fallback"] += kind == "resumed" and counts["rebuilt"] > rebuilt
+            counts["dry"] += kind == "first" and self.t == t  # no live candidate: no query
+            return res
+
+    for seed in range(4):
+        H = Spy(LazyHypergraph(60, 3, 0.02, seed=seed))
+        finder = Finder(H, 2, seed=seed, trace_level="summary")
+        assert finder.run().stop_reason == "exhausted"
+        counts["bulk_query"] += H.calls
+    assert counts["bulk_query"] == counts["first"] - counts["dry"] + counts["fallback"]
+    assert counts["fallback"] == 0
+    assert counts["resumed"] > counts["first"] // 4 > 0
+
+
 @st.composite
 def search_cases(draw):
     k = draw(st.integers(2, 5))
@@ -522,7 +707,7 @@ def search_cases(draw):
         StoppingConfig(enabled=frozenset(), budget=t),
         StoppingConfig(T0=t, enabled=frozenset({"S2"})),
     ]))
-    level = draw(st.sampled_from(["events", "full"]))
+    level = draw(st.sampled_from(["summary", "events", "full"]))
     return n, k, j, p, seed, stop, level
 
 
