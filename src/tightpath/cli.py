@@ -110,6 +110,9 @@ def _build_stopping(args, n: int) -> StoppingConfig | None:
         return StoppingConfig(target_length=target, T0=t0, enabled=enabled, budget=budget)
     if args.eps is None:
         raise ValueError("--stopping standard/loose needs --eps")
+    for flag, val in (("--target", args.target), ("--t0", args.t0)):
+        if val is not None:
+            raise ValueError(f"{flag} needs --stopping none, not --stopping {args.stopping}")
     maker = StoppingConfig.loose if args.stopping == "loose" else StoppingConfig.standard
     enabled = ("S1", "S2") if args.benchmark else ("S1", "S2", "S3", "S4")
     return maker(n, args.k, args.j, abs(args.eps), delta=args.delta, budget=budget,

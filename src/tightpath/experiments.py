@@ -217,9 +217,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[TrialRecord]:
         for ei in range(len(spec.eps_values))
         for ti in range(spec.trials)
     ]
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(tasks) <= 1:
         return [_run_trial(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_run_trial, tasks))
 
 

@@ -85,8 +85,7 @@ from .monitor import EXHAUSTED, Monitor, StoppingConfig
 TRACE_LEVELS = ("summary", "events", "full")
 MODES = ("auto", "checked")
 
-MATERIALIZE_LIMIT = 1_000_000
-RESERVOIR_SIZE = 8192
+BAND = 8192
 CHUNK = 1 << 20
 
 
@@ -158,26 +157,26 @@ def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
 
 
 class _NeutralStream:
-    """Yields neutral j-sets in (chain64(key, J), J) order, skipping
-    discovered ones.
+    """Yields neutral j-sets in (h, J) order, h = chain64(key, J), skipping
+    discovered ones, one hash band at a time.
 
-    Small universes are materialized and sorted once; larger ones keep the
-    top-M by hash in a reservoir (M quadruples whenever the reservoir runs
-    dry before the universe does). A build walks the j-sets in lexicographic
-    order, in chunks of at most CHUNK rows. The j-sets that start at vertex
-    u are u followed by the last C(n-1-u, j-1) rows of the lexicographic
-    (j-1)-subset table of range(n), so each row hashes as that tail against
-    the prefix state chain64(key, (u,)), computed once per u. Only the kept
-    lexicographic indices are mapped back to vertex rows.
+    The j-sets with h in [lo, hi) are a contiguous run of that order. The
+    first band is BAND/C(n, j) of the hash range wide, so a universe of at
+    most BAND j-sets is one band; each next band starts where the last ended
+    and is 4x wider, so no j-set is yielded twice. A build walks the j-sets
+    in lexicographic order, in chunks of at most CHUNK rows. The j-sets that
+    start at vertex u are u followed by the last C(n-1-u, j-1) rows of the
+    lexicographic (j-1)-subset table of range(n), so each row hashes as that
+    tail against the prefix state chain64(key, (u,)), computed once per u.
+    Only the band's lexicographic indices are mapped back to vertex rows.
     """
 
     def __init__(self, n: int, j: int, key: int, discovered: set):
         self.n, self.j, self.key = n, j, key
         self.discovered = discovered
-        self.total = math.comb(n, j)
-        self.limit = min(RESERVOIR_SIZE, self.total)
-        self._ptr = 0
-        self._rows = self._build(self.total if self.total <= MATERIALIZE_LIMIT else self.limit)
+        self._width = -((-BAND << 64) // math.comb(n, j))  # ceil(BAND * 2^64 / C(n, j))
+        self._hi = 0
+        self._rows = self._band()
 
     @staticmethod
     def _chunks(lens: list[int]):
@@ -196,47 +195,39 @@ class _NeutralStream:
         if segs:
             yield lo, segs
 
-    def _build(self, m: int) -> np.ndarray:
+    def _band(self):
+        """An iterator over the next band's j-sets, in (h, J) order."""
+        lo, self._hi = self._hi, min(self._hi + self._width, 1 << 64)
+        self._width *= 4
         tails = subset_cols(np.arange(self.n), self.j - 1) if self.j > 1 else []
         end = math.comb(self.n, self.j - 1)  # rows of the tail table
         lens = _run_lens(self.n, self.j)  # rows that start at u = 0, 1, ..., n-j
         pre = chain64_np(self.key, [np.arange(len(lens))])
-        keep_h = np.empty(0, dtype=np.uint64)
-        keep_i = np.empty(0, dtype=np.int64)
-        for lo, segs in self._chunks(lens):
+        low, top = np.uint64(lo), np.uint64(self._hi - 1)  # hi can be 2^64
+        keep = []
+        for first, segs in self._chunks(lens):
             h = np.repeat(pre[[u for u, _, _ in segs]], [b - a for _, a, b in segs])
             if tails:
                 h = chain64_np(h, [np.concatenate([col[end - lens[u] + a : end - lens[u] + b]
                                                    for u, a, b in segs]) for col in tails])
-            if keep_h.size == m:  # only rows below the current M-th least can enter
-                sel = np.flatnonzero(h < keep_h.max())
-                h, idx = h[sel], lo + sel
-            else:
-                idx = np.arange(lo, lo + h.size)
-            h, idx = np.concatenate([keep_h, h]), np.concatenate([keep_i, idx])
-            if h.size > m:
-                part = np.argpartition(h, m - 1)[:m]
-                h, idx = h[part], idx[part]
-            keep_h, keep_i = h, idx
+            sel = np.flatnonzero((h >= low) & (h <= top))
+            keep.append((h[sel], first + sel))
+        h, idx = map(np.concatenate, zip(*keep))
         # lexicographic index order is row order, so it breaks hash ties as J does
-        idx = keep_i[np.lexsort((keep_i, keep_h))]
+        idx = idx[np.lexsort((idx, h))]
         ends = np.cumsum(lens, dtype=np.int64)
         u = np.searchsorted(ends, idx, side="right")
         rows = [u] + [col[end - ends[u] + idx] for col in tails]
-        return np.column_stack(rows).astype(np.int64, copy=False)
+        return map(tuple, np.column_stack(rows).tolist())
 
     def pop(self) -> Optional[tuple]:
         while True:
-            while self._ptr < len(self._rows):
-                row = tuple(int(v) for v in self._rows[self._ptr])
-                self._ptr += 1
+            for row in self._rows:
                 if row not in self.discovered:
                     return row
-            if len(self._rows) >= self.total:
+            if self._hi == 1 << 64:
                 return None
-            self.limit = min(self.limit * 4, self.total)
-            self._ptr = 0
-            self._rows = self._build(self.limit)
+            self._rows = self._band()
 
 
 @dataclass

@@ -154,6 +154,23 @@ def test_run_t0_alone_stops_at_s2(capsys):
         assert (summary["stop_reason"], summary["queries"]) == ("S2", "5")
 
 
+def test_run_target_and_t0_need_stopping_none(capsys):
+    """A named rule sets its own S1/S2 thresholds, so --target or --t0 beside
+    it is an error naming the flag, not a value silently ignored; --budget
+    applies under every rule."""
+    argv = ("run", "-n", "40", "-k", "3", "-j", "2", "-p", "0.08", "--seed", "2",
+            "--eps", "0.3", "--benchmark")
+    for stopping in ("standard", "loose"):
+        for flag, val in (("--target", "1"), ("--t0", "5")):
+            code, out, err = run_cli(capsys, *argv, "--stopping", stopping, flag, val)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    for j, stopping in (("2", "standard"), ("1", "loose"), ("2", "none")):
+        code, out, _ = run_cli(capsys, *argv, "-j", j, "--stopping", stopping, "--budget", "5")
+        summary = summary_dict(out)
+        assert (code, summary["stop_reason"], summary["queries"]) == (2, "budget", "5")
+
+
 def test_oracle_censored_exit_code(tmp_path, capsys):
     hpath = tmp_path / "h.txt"
     run_cli(capsys, "gen", "-k", "3", "-n", "12", "-p", "0.3", "--out", str(hpath))
@@ -277,6 +294,15 @@ def test_sweep_unknown_preset(capsys):
     assert "unknown preset" in err
     code, _, err = run_cli(capsys, "sweep")
     assert code == 1
+
+
+def test_sweep_jobs_below_1_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("k=3\nj=2\nn=20\neps=0.3\ntrials=2\n")
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--jobs", jobs)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "jobs" in err and err.count("\n") == 1
 
 
 def test_verify_suites_small(capsys):

@@ -122,6 +122,36 @@ def test_parallel_sweep_matches_serial():
     assert rows_no_ms(run_sweep(spec, jobs=1)) == rows_no_ms(run_sweep(spec, jobs=2))
 
 
+def test_sweep_starts_at_most_one_worker_per_trial(monkeypatch):
+    """The pool gets min(jobs, trials) workers, so a large --jobs forks no
+    idle processes; a fake pool records the count and runs the trials here."""
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    spec = small_spec(trials=3)
+    serial = rows_no_ms(run_sweep(spec))
+    assert rows_no_ms(run_sweep(spec, jobs=5000)) == serial
+    assert rows_no_ms(run_sweep(spec, jobs=2)) == serial
+    assert seen == [3, 2]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(spec, jobs=jobs)
+    assert seen == [3, 2]
+
+
 def test_lazy_and_explicit_sweeps_agree():
     lazy = run_sweep(small_spec(mode="pathfinder_lazy"))
     expl = run_sweep(small_spec(mode="pathfinder_explicit"))

@@ -1014,26 +1014,41 @@ def test_neutral_stream_matches_brute_order(monkeypatch, n, j, chunk):
     assert sum(chunk_rows) == (3 * math.comb(n, j) if j > 1 else 0)
 
 
+def spy_bands(monkeypatch):
+    """The number of rows in each band the stream builds, in build order."""
+    sizes = []
+    band = _NeutralStream._band
+
+    def spy(self):
+        rows = list(band(self))
+        sizes.append(len(rows))
+        return iter(rows)
+
+    monkeypatch.setattr(_NeutralStream, "_band", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("chunk", [5, 64])
 @pytest.mark.parametrize("n, j", STREAM_SHAPES)
 def test_neutral_stream_small_reservoir_refresh(monkeypatch, n, j, chunk):
-    """A reservoir of 3 rows refreshes (x4) until the universe runs out, with
-    chunks full of rows that cannot enter the kept set."""
+    """Bands about 3 rows wide, then 4x wider each, cover the universe once,
+    with chunks full of rows outside the band being built; the pops are the
+    brute (priority, J) order."""
     import tightpath.pathfinder as pf
 
-    monkeypatch.setattr(pf, "MATERIALIZE_LIMIT", 10)
-    monkeypatch.setattr(pf, "RESERVOIR_SIZE", 3)
+    monkeypatch.setattr(pf, "BAND", 3)
     monkeypatch.setattr(pf, "CHUNK", chunk)
+    sizes = spy_bands(monkeypatch)
     key = derive_key(8, "sigma-j")
     stream = _NeutralStream(n, j, key, set())
-    assert len(stream._rows) == 3 < stream.total
+    assert len(sizes) == 1 and sizes[0] < math.comb(n, j)
     assert pop_all(stream) == brute_priority(n, j, key)
-    assert stream.limit == stream.total
+    assert len(sizes) > 1 and sum(sizes) == math.comb(n, j)
 
 
-def test_neutral_stream_reservoir_refresh():
-    """C(2000,2) is over the materialization limit, so pops come from a top-M
-    reservoir that refreshes; callers must mark pops discovered for that."""
+def test_neutral_stream_reservoir_refresh(monkeypatch):
+    """C(2000,2) is far over BAND, so 10 000 pops cross from the first hash
+    band into the next and keep the (priority, J) order across it."""
     from tightpath.hypergraph import unrank_colex
 
     n, j, m = 2000, 2, 10_000
@@ -1044,12 +1059,30 @@ def test_neutral_stream_reservoir_refresh():
     order = np.lexsort((cols[:, 1], cols[:, 0], h))
     expected = [tuple(int(v) for v in cols[i]) for i in order[:m]]
 
+    sizes = spy_bands(monkeypatch)
     discovered: set = set()
     stream = _NeutralStream(n, j, key, discovered)
-    assert total > 10**6 and stream.limit < m
     got = []
     for _ in range(m):
         row = stream.pop()
         discovered.add(row)
         got.append(row)
     assert got == expected
+    assert len(sizes) == 2 and sizes[0] < m < sum(sizes)
+
+
+def test_neutral_stream_never_yields_an_unmarked_pop_again():
+    """A pop the caller does not mark discovered is not yielded again, in
+    its band or a later one: 10 000 unmarked pops at (2000, 2) run past the
+    first band and equal the pops of a stream whose caller marks them."""
+    n, j, m = 2000, 2, 10_000
+    key = derive_key(21, "sigma-j")
+    marked = _NeutralStream(n, j, key, set())
+    want = []
+    for _ in range(m):
+        want.append(marked.pop())
+        marked.discovered.add(want[-1])
+    unmarked = _NeutralStream(n, j, key, set())
+    got = [unmarked.pop() for _ in range(m)]
+    assert not unmarked.discovered
+    assert len(set(got)) == m and got == want
