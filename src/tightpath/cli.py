@@ -5,8 +5,9 @@ Common flags: --seed where randomness is involved, --config FILE for flat
 key=value defaults of the flags that take a value (explicit flags win), --out
 for file outputs.
 
-Exit codes: 0 success; 1 usage or input error; 2 a budget was hit or results
-were censored (outputs are still written).
+Exit codes: 0 success; 1 usage or input error, or a sweep trial raised; 2 a
+budget was hit or results were censored. A sweep writes its outputs in either
+of the last two cases, and prints errors=k/N or censored=k/N.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ def cmd_sweep(args) -> int:
     censored = sum(r.censored for r in records)
     if censored:
         print(f"censored={censored}/{len(records)}")
-        return 2
-    return 0
+    errors = sum(r.stop_reason == "error" for r in records)
+    if errors:  # an engine error is a failure, not a budget hit
+        print(f"errors={errors}/{len(records)}", file=sys.stderr)
+        return 1
+    return 2 if censored else 0
 
 
 def _verify_z(args) -> bool:

@@ -17,9 +17,9 @@ trial) runs one of four modes:
 Pathfinder trials in supercritical mode use the standard stopping rule for
 j >= 2 and the loose-path rule for j = 1; subcritical trials use the same
 formulas with |eps|. Oracle trials carry a node budget and set the censored
-flag instead of failing. A trial that raises is recorded as a censored row
-with stop_reason "error", and its exception is printed to stderr, rather than
-aborting the sweep.
+flag instead of failing. A trial that raises is recorded as an uncensored
+row with stop_reason "error", and its exception is printed to stderr, rather
+than aborting the sweep; an engine error is never a censored row.
 
 Trial seeds are chain-hashed from (master seed, n index, eps index, trial
 index), so streams are reproducible and injective within a sweep. Output is
@@ -197,7 +197,7 @@ def _run_trial(args) -> TrialRecord:
     except Exception as exc:  # one failed trial must not abort the sweep
         print(f"trial ({n}, {eps}, {trial_index}): {type(exc).__name__}: {exc}",
               file=sys.stderr)
-        return TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
+        return TrialRecord(**base, L=0, censored=False, queries=0, new_starts=0,
                            edges=-1, stop_reason="error", ms=0.0)
     return _finished(TrialRecord(**base, **out, ms=(time.perf_counter() - t0) * 1000.0))
 
@@ -269,7 +269,8 @@ def aggregate(records: Sequence[TrialRecord], omega: float = 6.0, delta: float =
     """Per-(n, eps) length statistics against the bound curves.
 
     Censored rows count toward the censoring rate only; their L values (lower
-    bounds, not measurements) are excluded from the statistics. `bounds` maps
+    bounds, not measurements) are excluded from the statistics, and so are
+    those of error rows (stop_reason "error"), which measured nothing. `bounds` maps
     (n, eps) to a (lower, upper) pair and overrides the derived curves.
     """
     if not records:
@@ -284,7 +285,7 @@ def aggregate(records: Sequence[TrialRecord], omega: float = 6.0, delta: float =
     out = []
     for (n, eps) in sorted(groups):
         grp = groups[(n, eps)]
-        ok = [r.L for r in grp if not r.censored]
+        ok = [r.L for r in grp if not r.censored and r.stop_reason != "error"]
         if bounds is not None and (n, eps) in bounds:
             lower, upper = bounds[(n, eps)]
         else:

@@ -52,17 +52,22 @@ n >= 2^31.
 
 A record is scanned again only once the batch its success spawned is
 explored and that edge removed, so the path has the same vertex set, and the
-only change is the j-sets explored in between. Those share at most j-(k-j)
-vertices with J. So for j >= k-j each of them kills at most one candidate
-row, and a scan that ends on a success stores on its record the live
+only change is the j-sets explored in between. One of them, E, kills the
+candidates that hold it: with S = E \\ J off the path, the rows through
+J u S. So a scan that ends on a success stores on its record the live
 successes past the new cursor and the number of live rows in each gap around
-them. The record's next scan, below the trace level full, replays the Q4
-kills filed since then against that state: a kill drops a stored success or
-one row of its gap, and the answer is the first stored success or
-exhaustion, with no coin or priority hashed. It rescans as above only where
-the clock would cut the scan, or on a kill of more than one row, which only
-a finder driven by hand can meet. For j < k-j each explored j-set of the
-subtree kills every row through its vertices, so nothing is stored.
+them, and the record's next scan, below the trace level full, replays the Q4
+kills filed since then against that state. A kill with |S| = d drops at most
+one row, a stored success or one row of its gap, and hashes one priority;
+one with |S| = d-1 drops the one-vertex completions of J u S, about n rows
+whose priorities it hashes, against the C(n, d) rows whose coins and
+priorities a rescan hashes. The answer is the first stored success or
+exhaustion, with no coin hashed. The scan rescans as above only where the
+clock would cut it, or after a kill with |S| < d-1. For j >= k-j the j-sets
+a subtree explores share at most j-(k-j) vertices with J, so every kill has
+|S| = d. For j < k-j, |S| <= j: at j = k-j-1 (loose paths at k = 3, and
+(5, 2)) only the |S| = 1 kills of (5, 2) rescan, and at smaller j ((4, 1),
+(5, 1)) every kill does.
 """
 
 from __future__ import annotations
@@ -108,12 +113,12 @@ class ActiveRecord:
     owning batch, and its Q3 state: the (priority, K) cursor of the last
     candidate queried from it, the same in both scans.
 
-    A vector scan with j >= k-j that ends on a success (below the trace level
-    full, and not cut by the clock) also leaves ``resume`` for the record's
-    next scan: the live successes past the cursor as (priority, K) in query
-    order, the number of live rows in each gap before, between and after
-    them, and (T, len(explored_by[T])) for every T under which a Q4 kill of
-    J's candidates is filed. That is O(successes) ints, never a row.
+    A vector scan that ends on a success (below the trace level full, and not
+    cut by the clock) also leaves ``resume`` for the record's next scan: the
+    live successes past the cursor as (priority, K) in query order, the
+    number of live rows in each gap before, between and after them, and
+    (T, len(explored_by[T])) for every T under which a Q4 kill of J's
+    candidates is filed. That is O(successes) ints, never a row.
     """
 
     __slots__ = ("jset", "partition", "edge_index", "batch", "order", "cursor", "resume")
@@ -520,53 +525,92 @@ class PathFinder:
 
     def _replay(self, rec: ActiveRecord):
         """The record's stored successes and gap counts after the Q4 kills
-        filed since its last scan, or None when a kill drops more than one row.
+        filed since its last scan, or None when a kill's part outside J has
+        fewer than d-1 vertices.
 
         The path has the same vertex set as at that scan (see the module
-        docstring). So a new entry S under T kills one row, K = J u S, when
-        |S| = d and S misses the path, and none when S meets it. Such a K
-        changes nothing if it held an explored j-set before (it was dead then)
-        or lies at or behind the cursor (it was queried); else it was a stored
-        success or a live row of one gap."""
+        docstring). So a new entry S under T kills nothing when S meets the
+        path; else it kills the rows through J2 = J u S: J2 itself when
+        |S| = d, and J2 u {w} for each free w outside S when |S| = d-1. The
+        kills are taken in turn, and "explored before" means explored and not
+        a kill still to take, so a row two kills share drops once. A row
+        changes nothing if it held a j-set explored before (it was dead then)
+        or lies at or behind the cursor (it was queried); else it was a
+        stored success, which goes and merges its two gaps, or a live row of
+        one gap."""
         later, gaps, marks = rec.resume
         new = [(T, S) for T, m in marks for S in self.explored_by.get(T, ())[m:]
                if not any(self.in_path[v] for v in S)]
-        if any(len(S) < self.d for _, S in new):
+        if any(len(S) < self.d - 1 for _, S in new):
             return None
-        fresh = {tuple(sorted(T + S)) for T, S in new}
-        for K in dict.fromkeys(tuple(sorted(rec.jset + S)) for _, S in new):
-            if not self.explored.isdisjoint(set(combinations(K, self.j)) - fresh):
-                continue
-            key = (chain64(self.sigk_key, K), K)
-            if key <= rec.cursor:
-                continue
-            i = bisect_left(later, key)
-            if i < len(later) and later[i] == key:
-                del later[i]
-                gaps[i : i + 2] = [gaps[i] + gaps[i + 1]]
-            else:
-                gaps[i] -= 1
+        pending = {tuple(sorted(T + S)) for T, S in new}
+        hits = []  # the stored successes killed, as indices into later
+        for T, S in new:
+            J2 = tuple(sorted(rec.jset + S))
+            if not any(E in self.explored and E not in pending for E in combinations(J2, self.j)):
+                if len(S) == self.d:
+                    key = (chain64(self.sigk_key, J2), J2)
+                    if key > rec.cursor:
+                        i = bisect_left(later, key)
+                        if later[i : i + 1] == [key]:
+                            hits.append(i)
+                        else:
+                            gaps[i] -= 1
+                else:
+                    hits += self._drop_rows(rec, J2, S, pending, later, gaps)
+            pending.discard(tuple(sorted(T + S)))
+        for i in sorted(hits, reverse=True):
+            del later[i]
+            gaps[i : i + 2] = [gaps[i] + gaps[i + 1]]
         return later, gaps
+
+    def _drop_rows(self, rec: ActiveRecord, J2: tuple, S: tuple, pending: set, later, gaps) -> list:
+        """Replay one kill of the rows J2 u {w} (see _replay): take its live
+        rows off their gaps, and return the indices of the stored successes
+        among them."""
+        # w is dead before where T' u {w} was explored before, T' a (j-1)-subset of J2
+        dead = np.bincount(np.array([v for T in combinations(J2, self.j - 1)
+                                     for (v,) in self.explored_by.get(T, ())], dtype=np.intp),
+                           minlength=self.n)
+        for E in pending:
+            w = set(E).difference(J2)
+            if len(w) == 1:
+                dead[w.pop()] -= 1
+        free = ~self.in_path & (dead == 0)
+        free[list(S)] = False
+        cands = Candidates(J2, np.flatnonzero(free).astype(np.int32), 1)
+        h = cands.hash(self.sigk_key)
+        live = np.flatnonzero(self._cursor_alive(rec, h, cands))
+        hs, hl = np.array([e[0] for e in later], dtype=np.uint64), h[live]
+        gap, hit = np.searchsorted(hs, hl), []
+        for m in np.flatnonzero(hs.take(gap, mode="clip") == hl) if later else ():
+            key = (int(hl[m]), cands.row(live[m]))  # equal priorities: K breaks the tie
+            gap[m] = bisect_left(later, key)
+            if gap[m] < len(later) and later[gap[m]] == key:
+                hit.append(m)
+        for i, c in enumerate(np.bincount(np.delete(gap, hit), minlength=len(gaps)).tolist()):
+            gaps[i] -= c
+        return gap[hit].tolist()
 
     def _learn(self, rec: ActiveRecord, cands: Candidates, h, past, succ) -> None:
         """Leave ``rec.resume`` from a scan that ended on a success; ``past``
-        marks the live rows beyond its new cursor."""
+        marks the live rows beyond its new cursor. A gap's end is the count of
+        the other rows below its success, K breaking equal priorities."""
         later = sorted((int(h[i]), cands.row(i)) for i in np.flatnonzero(past & succ))
-        gaps = [int(np.count_nonzero(past))]
-        if later:
-            rows = np.flatnonzero(past & ~succ)
-            hs, hr = np.array([e[0] for e in later], dtype=np.uint64), h[rows]
-            gap = np.searchsorted(hs, hr)
-            for m in np.flatnonzero(hs.take(gap, mode="clip") == hr):  # equal priorities: K breaks the tie
-                gap[m] = bisect_left(later, (int(hr[m]), cands.row(rows[m])))
-            gaps = np.bincount(gap, minlength=len(later) + 1).tolist()
+        rest = past & ~succ
+        below = []
+        for hg, K in later:
+            le = rest & (h <= np.uint64(hg))
+            ties = np.flatnonzero(le & (h == np.uint64(hg)))
+            below.append(int(np.count_nonzero(le)) - sum(cands.row(i) > K for i in ties))
+        gaps = np.diff([0, *below, int(np.count_nonzero(rest))]).tolist()
         rec.resume = (later, gaps, self._marks(rec.jset))
 
     def _scan_kernel(self, rec: ActiveRecord):
         # A resumed scan answers from what the record's last scan stored. It
-        # rescans only on a kill of more than one row or where the clock would
-        # cut it (t0 + q > t_stop on a success, >= t_stop on exhaustion), so
-        # a cut leaves its cursor exactly as a rescan does.
+        # rescans only after a kill of fewer than d-1 vertices outside J, or
+        # where the clock would cut it (t0 + q > t_stop on a success, >= t_stop
+        # on exhaustion), so a cut leaves its cursor exactly as a rescan does.
         t0, t_stop = self.t, self._t_stop()
         kept = self._replay(rec) if rec.resume else None
         rec.resume = None
@@ -628,7 +672,7 @@ class PathFinder:
             return ("stop", self.monitor.time_reason(self.t))
         if res[0] == "success":
             rec.cursor = (int(hmin), wrow)
-            if not full and self.j >= self.d:
+            if not full:
                 self._learn(rec, cands, h, past, succ)
         return res
 

@@ -269,6 +269,23 @@ def test_sweep_prints_rows_without_outputs(tmp_path, capsys):
     assert all(line.split(",")[0] == "20" for line in lines)
 
 
+def test_sweep_trial_errors_exit_1_after_writing_rows(tmp_path, capsys, monkeypatch):
+    """A trial that raises is an error row, not a censored one: the sweep
+    still writes its rows, then prints errors=k/N to stderr and exits 1."""
+    from tightpath import experiments
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(experiments, "run_pathfinder", fault)
+    out_csv, cfg = tmp_path / "rows.csv", tmp_path / "sweep.cfg"
+    cfg.write_text("k=3\nj=2\nn=20\neps=0.3\ntrials=2\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_csv))
+    assert (code, out) == (1, f"wrote 2 rows to {out_csv}\n")
+    assert err.splitlines()[-1] == "errors=2/2"
+    assert [(r.censored, r.stop_reason) for r in read_csv(out_csv)] == [(False, "error")] * 2
+
+
 def test_sweep_config_key_errors_exit_1_with_one_line(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     for body, word in [("k=3\nj=2\nn=20\neps=0.3\ntrails=3\n", "'trails'"),

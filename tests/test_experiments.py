@@ -190,16 +190,17 @@ def test_unresolvable_p_yields_a_censored_row():
         assert (rec.L, rec.edges, rec.stop_reason) == (0, -1, "n/a")
 
 
-def test_trial_errors_are_censored_and_reported(monkeypatch, capsys):
+def test_trial_errors_are_reported_and_never_censored(monkeypatch, capsys):
     def fault(*args, **kwargs):
         raise RuntimeError("engine fault")
 
     monkeypatch.setattr(experiments, "run_pathfinder", fault)
     recs = run_sweep(small_spec(trials=2))
-    assert [(r.censored, r.stop_reason, r.L) for r in recs] == [(True, "error", 0)] * 2
+    assert [(r.censored, r.stop_reason, r.L) for r in recs] == [(False, "error", 0)] * 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"trial (24, 0.3, {i}): RuntimeError: engine fault" for i in range(2)]
-    assert math.isnan(aggregate(recs)[0]["L_mean"])
+    row, = aggregate(recs + [fake_record(n=24, eps=0.3, L=7, trial=2)])
+    assert (row["count"], row["censored"], row["L_mean"], row["L_min"]) == (3, 0, 7, 7)
 
 
 def test_finished_trials_print_a_progress_line(capsys):

@@ -524,12 +524,12 @@ def test_resumed_scans_match_checked_scan_at_cutoffs(monkeypatch):
     """Budget cutoffs at every clock value 1..queries, at the two trace levels
     (taken in turn) where a resumed vector scan replays its record's stored
     successes and gap counts. A spy classifies each Q4 kill since the
-    record's last scan from the explored sets alone and shows every branch of
-    the replay fired: fast success and exhaustion, gap decrement, success
-    merge, old-dead skip, and the rescan at a clock cut. It also shows that
-    no kill in a run drops more than one row, and that shapes with j < k-j
-    store nothing (the rescan on a multi-row kill is shown by hand-driven
-    finders below)."""
+    record's last scan from the explored sets alone, by the size of its part
+    S outside J: one row (|S| = d), one vertex short (|S| = d-1) or shorter.
+    It shows every branch of the replay fired: fast success and exhaustion,
+    gap decrement, success merge, old-dead skip, one-vertex-short kills of a
+    j < k-j shape ending in both a fast success and a fast exhaustion, and
+    the rescan at a clock cut or after a shorter kill, and no other rescan."""
     seen = set()
     scan = PathFinder._scan_kernel
     q4_mask = PathFinder._q4_mask
@@ -547,7 +547,7 @@ def test_resumed_scans_match_checked_scan_at_cutoffs(monkeypatch):
             if len(S) > self.d or any(self.in_path[v] for v in S):
                 continue  # E lies in no candidate of J
             if len(S) < self.d:
-                kinds.add("multi-row kill")
+                kinds.add("one-vertex-short kill" if len(S) == self.d - 1 else "shorter kill")
                 continue
             K = tuple(sorted(J.union(S)))
             key = (chain64(self.sigk_key, K), K)
@@ -563,15 +563,17 @@ def test_resumed_scans_match_checked_scan_at_cutoffs(monkeypatch):
         res = scan(self, rec)
         rescanned = "rescan" in seen
         if kinds is not None:
-            assert "multi-row kill" not in kinds
-            if rescanned:  # only where the clock cuts
-                assert res[0] == "stop"
-                seen.add("rescan at a cut")
+            if rescanned:  # only where the clock cuts, or after a shorter kill
+                assert res[0] == "stop" or "shorter kill" in kinds
+                seen.add("rescan after a shorter kill" if "shorter kill" in kinds
+                         else "rescan at a cut")
             else:
+                assert "shorter kill" not in kinds
                 seen.update({"fast " + res[0]} | kinds)
+                if "one-vertex-short kill" in kinds and self.j < self.d:
+                    seen.add(("one-vertex-short, j < k-j", res[0]))
         if rec.resume:
             explored_at[rec] = set(self.explored)
-        assert rec.resume is None or self.j >= self.d
         return res
 
     monkeypatch.setattr(PathFinder, "_scan_kernel", spy)
@@ -591,23 +593,61 @@ def test_resumed_scans_match_checked_scan_at_cutoffs(monkeypatch):
                 if c.stack:
                     assert a.stack[-1].cursor == c.stack[-1].cursor
     assert {"fast success", "fast exhausted", "gap decrement", "success merge", "old-dead skip",
-            "rescan at a cut"} <= seen
+            "one-vertex-short kill", "rescan at a cut", "rescan after a shorter kill",
+            ("one-vertex-short, j < k-j", "success"),
+            ("one-vertex-short, j < k-j", "exhausted")} <= seen
+
+
+def test_every_replay_matches_a_fresh_scan():
+    """Whenever a resumed scan replays its record's stored state, the
+    successes and gap counts it gets equal those of a fresh scan: the
+    candidates past the cursor in the checked scan's order, queried one by
+    one. Budget cutoffs at every clock value, over every resumable shape."""
+    replays = set()
+
+    class Finder(PathFinder):
+        def _replay(self, rec):
+            later, gaps = [], [0]
+            for h, K, _ in self._scalar_order(rec):
+                if (h, K) <= rec.cursor:
+                    continue
+                if self.H.query_edge(K):
+                    later.append((h, K))
+                    gaps.append(0)
+                else:
+                    gaps[-1] += 1
+            kept = super()._replay(rec)
+            if kept is not None:
+                assert kept == (later, gaps)
+                replays.add((self.k, self.j))
+            return kept
+
+    for n, k, j, p in RESUME_CASES:
+        for seed in range(3):
+            H = generate_explicit(n, k, p, seed=seed)
+            total = run(H, k, j, seed=seed, mode="checked").queries
+            for b in range(1, total + 1):
+                Finder(H, j, seed=seed, trace_level="summary",
+                       stopping=StoppingConfig(enabled=frozenset(), budget=b)).run()
+    assert {(3, 1), (5, 2), (3, 2), (2, 1)} <= replays
 
 
 @pytest.mark.parametrize("J, edges, explore, rebuilt", [
     # two j-sets inside the one row (0, 1, 2, 5), and one through vertex 9,
     # which is on the path outside J and so in no candidate: no rescan
     ((0, 1, 2), [(0, 1, 2, v) for v in (3, 4, 6, 7, 8)], [(0, 1, 5), (0, 2, 5), (1, 2, 9)], 0),
-    # (0, 5) kills every row through 5: one rescan, then the replay again
+    # (0, 5) kills every row through 5, one vertex short of a row: replayed
     ((0, 1), [(0, 1, v, w) for v, w in combinations(range(2, 9), 2) if (v + w) % 3 == 0],
-     [(0, 5)], 1),
+     [(0, 5)], 0),
+    # (5,) is two vertices short of a row: one rescan, then the replay again
+    ((0,), [(0, *X) for X in combinations(range(1, 9), 3) if sum(X) % 3 == 0], [(5,)], 1),
 ])
 def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
     """Hand-driven k = 4 finders with vertex 9 on the path beside J. After a
     scan of J succeeds, the given j-sets are explored; every later scan of J
     answers as the checked scan does, and auto mode builds candidates again
-    only for a kill of more than one row. Over the seeds, the row
-    (0, 1, 2, 5) lies beyond the first cursor, in a gap, at least once."""
+    only for a kill of fewer than d-1 vertices outside J. Over the seeds, the
+    row (0, 1, 2, 5) lies beyond the first cursor, in a gap, at least once."""
     H = ExplicitHypergraph(10, 4, edges)
     beyond = set()
     for seed in range(6):
@@ -635,13 +675,15 @@ def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
 
 def test_resumed_scans_break_priority_ties_on_K(monkeypatch):
     """With priorities cut to two bits most candidates tie, so the stored
-    successes, the gap counts and the replayed kills all order by K."""
+    successes, the gap counts and the replayed kills, one row or one vertex
+    short of a row (k = 3, j = 1), all order by K."""
     import tightpath.pathfinder as pf
 
     cands_hash, scalar_hash = Candidates.hash, pf.chain64
     monkeypatch.setattr(Candidates, "hash", lambda self, key: cands_hash(self, key) & np.uint64(3))
     monkeypatch.setattr(pf, "chain64", lambda key, K: scalar_hash(key, K) & 3)
-    for n, k, j, p in [(14, 3, 2, 0.25), (12, 2, 1, 0.3), (10, 4, 3, 0.2), (9, 5, 4, 0.2)]:
+    for n, k, j, p in [(14, 3, 2, 0.25), (12, 2, 1, 0.3), (10, 4, 3, 0.2), (9, 5, 4, 0.2),
+                       (12, 3, 1, 0.1)]:
         for seed in range(2):
             H = generate_explicit(n, k, p, seed=seed)
             total = run(H, k, j, seed=seed, mode="checked").queries
