@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from ._rng import chain64, derive_key

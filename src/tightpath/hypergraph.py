@@ -141,9 +141,9 @@ class Candidates(abc.Sequence):
 
     As a sequence it is K's k columns, of xs's dtype, in block order, each
     built on first use; ``xcols()`` lists X's d columns, built the same way,
-    and ``row(i)``/``xrow(i)`` one row's K and X. ``hash(key)`` is chain64(key,
-    K) of every row, bit for bit, without building K: each prefix state is
-    hashed at the coarsest level where it is constant. J's vertices ahead of
+    and ``row(i)`` one row's K. ``hash(key)`` is chain64(key, K) of every
+    row, bit for bit, without building K: each prefix state is hashed at the
+    coarsest level where it is constant. J's vertices ahead of
     a block's first X vertex are hashed once per block, a gap table's first
     column once per run of equal values, and each later gap as a broadcast
     axis of an outer product.
@@ -212,20 +212,13 @@ class Candidates(abc.Sequence):
     def xcols(self) -> list[np.ndarray]:
         return self._cached(True, slice(None))
 
-    def _cells(self, i: int) -> list:
-        """Row i's K as (vertex, whether it is in X) pairs."""
+    def row(self, i: int) -> tuple:
+        """Row i's K."""
         c, lo, sizes = self.blocks[bisect_right(self._starts, i) - 1]
         idx, r = [0] * len(sizes), i - lo
         for t in reversed(range(len(sizes))):
             r, idx[t] = divmod(r, sizes[t])
-        return [(int(e[1][idx[e[0]]]), True) if isinstance(e, tuple) else (e, False)
-                for e in self._layout(c)]
-
-    def row(self, i: int) -> tuple:
-        return tuple(v for v, _ in self._cells(i))
-
-    def xrow(self, i: int) -> tuple:
-        return tuple(v for v, in_x in self._cells(i) if in_x)
+        return tuple(int(e[1][idx[e[0]]]) if isinstance(e, tuple) else e for e in self._layout(c))
 
     def hash(self, key: int) -> np.ndarray:
         key = int(key) & MASK64

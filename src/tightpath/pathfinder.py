@@ -39,35 +39,38 @@ of hashing k columns per row. It works in this order: Q4 (from an index of
 explored j-sets by their proper subsets), then the edge coins of all
 candidates, then the priority hashes, but only when Q3 needs them (a rescan
 past a cursor, or a cursor to leave at a cut), a live candidate succeeded or
-the trace level is full. A first scan with no live success would query every
-live candidate in turn, so its query count is the number of live candidates
-whatever their order. Nothing depends on the order of the rows: the winner is
-the least (priority, K) among live successes and the query count is the
-number of live rows below it. The scan reports the queries the scalar scan
+the trace level is full. Nothing depends on the order of the rows, only on
+the summary below, and a first scan with no live success needs no priority
+at all. The scan reports the queries the scalar scan
 would make, in the same order and with the same cutoffs, so events, counts
 and traces are identical; a full trace lists them, and a cut finds its
 cursor, by sorting the live rows on (priority, K). Its vertex columns are
 int32, half the memory traffic of int64; PathFinder therefore refuses
 n >= 2^31.
 
+Every vector scan answers from one summary of its live rows past the
+cursor: the live successes as sorted (priority, K), and the number of the
+other live rows in each gap before, between and after them. The answer is
+the first success, after gaps[0] + 1 queries, or exhaustion after gaps[0];
+the clock cuts the scan if gaps[0] failed queries reach its stop. A fresh
+scan builds the summary from its rows. A scan that ends on a success, below
+the trace level full and not cut, stores the rest of it on its record.
+
 A record is scanned again only once the batch its success spawned is
 explored and that edge removed, so the path has the same vertex set, and the
 only change is the j-sets explored in between. One of them, E, kills the
 candidates that hold it: with S = E \\ J off the path, the rows through
-J u S. So a scan that ends on a success stores on its record the live
-successes past the new cursor and the number of live rows in each gap around
-them, and the record's next scan, below the trace level full, replays the Q4
-kills filed since then against that state. A kill with |S| = d drops at most
-one row, a stored success or one row of its gap, and hashes one priority;
-one with |S| = d-1 drops the one-vertex completions of J u S, about n rows
-whose priorities it hashes, against the C(n, d) rows whose coins and
-priorities a rescan hashes. The answer is the first stored success or
-exhaustion, with no coin hashed. The scan rescans as above only where the
-clock would cut it, or after a kill with |S| < d-1. For j >= k-j the j-sets
+J u S. So the record's next scan replays the Q4 kills filed since then
+against the stored summary. A kill with |S| = d drops at most one row, a
+stored success or one row of its gap, and hashes one priority; one with
+|S| = d-1 drops the one-vertex completions of J u S, about n rows whose
+priorities it hashes, against the C(n, d) rows whose coins and priorities a
+rescan hashes. The scan builds its rows again only where the clock cuts it,
+to leave its cursor, or after a kill with |S| < d-1. For j >= k-j the j-sets
 a subtree explores share at most j-(k-j) vertices with J, so every kill has
 |S| = d. For j < k-j, |S| <= j: at j = k-j-1 (loose paths at k = 3, and
 (5, 2)) only the |S| = 1 kills of (5, 2) rescan, and at smaller j ((4, 1),
-(5, 1)) every kill does.
+(5, 1)) every kill does; a record whose subtree files no kill still replays.
 """
 
 from __future__ import annotations
@@ -115,8 +118,8 @@ class ActiveRecord:
 
     A vector scan that ends on a success (below the trace level full, and not
     cut by the clock) also leaves ``resume`` for the record's next scan: the
-    live successes past the cursor as (priority, K) in query order, the
-    number of live rows in each gap before, between and after them, and
+    rest of its summary past the new cursor (the later live successes as
+    (priority, K) and the live-row count of each gap around them), and
     (T, len(explored_by[T])) for every T under which a Q4 kill of J's
     candidates is filed. That is O(successes) ints, never a row.
     """
@@ -130,7 +133,7 @@ class ActiveRecord:
         self.batch = batch
         self.order = None  # generic scan: iterator over its cached [(priority, K, X)]
         self.cursor = None  # (priority, K) last queried from J; past every K once spent
-        self.resume = None  # vector scan: (successes, gap counts, explored_by marks)
+        self.resume = None  # vector scan: (later successes, gap counts, explored_by marks)
 
 
 def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
@@ -475,7 +478,7 @@ class PathFinder:
             if self._q4_dead(K):
                 continue
             if self.audit:
-                self._audit_candidate(rec, X)
+                self._audit_candidate(X)
             rec.cursor = (h, K)
             self.t += 1
             outcome = self.H.query_edge(K)
@@ -490,10 +493,9 @@ class PathFinder:
                 return ("stop", self.monitor.time_reason(self.t))
         return ("exhausted",)
 
-    def _audit_candidate(self, rec: ActiveRecord, X: tuple) -> None:
-        last = rec.cursor or ()  # () precedes every entry
-        fam = [e[2] for e in self._scalar_order(rec) if e[:2] > last]
-        assert fam and fam[0] == X, f"scan order diverged: {X} vs {fam[:1]}"
+    def _audit_candidate(self, X: tuple) -> None:
+        fam = allowed_candidates(self)[:1]
+        assert fam == [X], f"scan order diverged: {X} vs {fam}"
 
     def _q4_mask(self, J: tuple, cands: Candidates) -> np.ndarray:
         """Q4 for completions of 2 or more vertices: False where X holds an
@@ -509,13 +511,13 @@ class PathFinder:
         return alive
 
     @staticmethod
-    def _cursor_alive(rec: ActiveRecord, h: np.ndarray, cands: Candidates) -> np.ndarray:
-        ch, crow = rec.cursor
-        alive = h > np.uint64(ch)
-        for i in np.flatnonzero(h == np.uint64(ch)):
-            if cands.row(i) > crow:
-                alive[i] = True
-        return alive
+    def _after(h: np.ndarray, row, key: tuple) -> np.ndarray:
+        """The rows whose (priority, K) comes after key; row(i) is row i's K."""
+        hk, K = key
+        after = h > np.uint64(hk)
+        for i in np.flatnonzero(h == np.uint64(hk)):
+            after[i] = row(i) > K
+        return after
 
     def _marks(self, J: tuple) -> tuple:
         """(T, len(explored_by[T])) for each T under which _explore_top files
@@ -523,10 +525,23 @@ class PathFinder:
         return tuple((T, len(self.explored_by.get(T, ()))) for i in range(1, min(self.j, self.d) + 1)
                      for T in combinations(J, self.j - i))
 
+    def _gaps(self, cands: Candidates, h, rows: np.ndarray, later: list) -> list:
+        """How many of the marked rows lie in each gap before, between and
+        after the sorted (priority, K) keys later."""
+        ends = [int(np.count_nonzero(rows & self._after(h, cands.row, key))) for key in later]
+        ends = [int(np.count_nonzero(rows)), *ends, 0]
+        return [a - b for a, b in zip(ends, ends[1:])]
+
+    def _summary(self, cands: Candidates, h, alive, succ) -> tuple:
+        """The scan's answer from its live rows: the live successes as sorted
+        (priority, K), and the number of the other live rows in each gap
+        before, between and after them. h is needed only if a row succeeded."""
+        later = sorted((int(h[i]), cands.row(i)) for i in np.flatnonzero(succ))
+        return later, self._gaps(cands, h, alive & ~succ, later)
+
     def _replay(self, rec: ActiveRecord):
-        """The record's stored successes and gap counts after the Q4 kills
-        filed since its last scan, or None when a kill's part outside J has
-        fewer than d-1 vertices.
+        """The record's summary after the Q4 kills filed since its last scan,
+        or None when a kill's part outside J has fewer than d-1 vertices.
 
         The path has the same vertex set as at that scan (see the module
         docstring). So a new entry S under T kills nothing when S meets the
@@ -580,88 +595,50 @@ class PathFinder:
         free[list(S)] = False
         cands = Candidates(J2, np.flatnonzero(free).astype(np.int32), 1)
         h = cands.hash(self.sigk_key)
-        live = np.flatnonzero(self._cursor_alive(rec, h, cands))
-        hs, hl = np.array([e[0] for e in later], dtype=np.uint64), h[live]
-        gap, hit = np.searchsorted(hs, hl), []
-        for m in np.flatnonzero(hs.take(gap, mode="clip") == hl) if later else ():
-            key = (int(hl[m]), cands.row(live[m]))  # equal priorities: K breaks the tie
-            gap[m] = bisect_left(later, key)
-            if gap[m] < len(later) and later[gap[m]] == key:
-                hit.append(m)
-        for i, c in enumerate(np.bincount(np.delete(gap, hit), minlength=len(gaps)).tolist()):
-            gaps[i] -= c
-        return gap[hit].tolist()
-
-    def _learn(self, rec: ActiveRecord, cands: Candidates, h, past, succ) -> None:
-        """Leave ``rec.resume`` from a scan that ended on a success; ``past``
-        marks the live rows beyond its new cursor. A gap's end is the count of
-        the other rows below its success, K breaking equal priorities."""
-        later = sorted((int(h[i]), cands.row(i)) for i in np.flatnonzero(past & succ))
-        rest = past & ~succ
-        below = []
-        for hg, K in later:
-            le = rest & (h <= np.uint64(hg))
-            ties = np.flatnonzero(le & (h == np.uint64(hg)))
-            below.append(int(np.count_nonzero(le)) - sum(cands.row(i) > K for i in ties))
-        gaps = np.diff([0, *below, int(np.count_nonzero(rest))]).tolist()
-        rec.resume = (later, gaps, self._marks(rec.jset))
+        hits = []  # stored successes that are rows here; each lies in the gap before it
+        for i, (_, K) in enumerate(later):
+            w = set(K).difference(J2)
+            if len(w) == 1 and free[w.pop()]:
+                hits.append(i)
+        for i, c in enumerate(self._gaps(cands, h, self._after(h, cands.row, rec.cursor), later)):
+            gaps[i] -= c - (i in hits)
+        return hits
 
     def _scan_kernel(self, rec: ActiveRecord):
-        # A resumed scan answers from what the record's last scan stored. It
-        # rescans only after a kill of fewer than d-1 vertices outside J, or
-        # where the clock would cut it (t0 + q > t_stop on a success, >= t_stop
-        # on exhaustion), so a cut leaves its cursor exactly as a rescan does.
+        # Every scan answers from one summary of its live rows past the cursor
+        # (see _summary). A resumed scan gets it from _replay; it builds its
+        # candidates only after a kill of fewer than d-1 vertices outside J,
+        # or where the clock cuts it, to leave the cursor as a rescan does.
         t0, t_stop = self.t, self._t_stop()
+        full = self.trace_level == "full"
         kept = self._replay(rec) if rec.resume else None
         rec.resume = None
-        if kept is not None:
-            later, gaps = kept
-            if later and t0 + gaps[0] + 1 <= t_stop:
-                self.t, rec.cursor = t0 + gaps[0] + 1, later[0]
-                rec.resume = (later[1:], gaps[1:], self._marks(rec.jset))
-                K = later[0][1]
-                return ("success", tuple(v for v in K if v not in rec.jset), K)
-            if not later and (gaps[0] == 0 or t0 + gaps[0] < t_stop):
-                self.t = t0 + gaps[0]
+        if kept is None or t0 + kept[1][0] >= t_stop:
+            # Work order: the Q4 mask, then the coins, then the priorities only
+            # when Q3 needs them (a rescan past a cursor), a full trace lists
+            # the queries, or a live candidate succeeded. Hashing has no side
+            # effects, so the order changes no outcome.
+            # Q4 for one-vertex completions: drop v where T u {v} is explored
+            # for a (j-1)-subset T of J. No dropped candidate is ever queried.
+            free = ~self.in_path
+            free[[v for T in combinations(rec.jset, self.j - 1)
+                  for (v,) in self.explored_by.get(T, ())]] = False
+            cands = Candidates(rec.jset, np.flatnonzero(free).astype(np.int32), self.d)
+            alive = self._q4_mask(rec.jset, cands)
+            h = cands.hash(self.sigk_key) if full or rec.cursor is not None else None
+            if rec.cursor is not None:
+                alive &= self._after(h, cands.row, rec.cursor)
+            if not alive.any():
                 return ("exhausted",)
-        # Work order: the Q4 mask, then the coins, then the priorities only
-        # when Q3 needs them (a rescan past a cursor), a full trace lists the
-        # queries, or a live candidate succeeded.
-        # Hashing has no side effects, so the order changes no outcome; and a
-        # first scan without a success queries every live candidate, so its
-        # query count needs no priorities at all. Nothing depends on the order
-        # of the candidate rows: the winner is the least (priority, K) among
-        # live successes, and the query count is the live rows below it.
-        # Q4 for one-vertex completions: drop v where T u {v} is explored for
-        # a (j-1)-subset T of J. No dropped candidate is ever queried or counted.
-        free = ~self.in_path
-        free[[v for T in combinations(rec.jset, self.j - 1)
-              for (v,) in self.explored_by.get(T, ())]] = False
-        cands = Candidates(rec.jset, np.flatnonzero(free).astype(np.int32), self.d)
-        alive = self._q4_mask(rec.jset, cands)
-        full = self.trace_level == "full"
-        h = cands.hash(self.sigk_key) if full or rec.cursor is not None else None
-        if rec.cursor is not None:
-            alive &= self._cursor_alive(rec, h, cands)
-
-        if not alive.any():
-            return ("exhausted",)
-        succ = alive & self.H.bulk_query(cands)
-        if succ.any():
-            if h is None:
+            succ = alive & self.H.bulk_query(cands)
+            if h is None and succ.any():
                 h = cands.hash(self.sigk_key)
-            hmin = h[succ].min()
-            wrow, win = min((cands.row(i), i) for i in np.flatnonzero(succ & (h == hmin)))
-            past = alive & (h > hmin)  # the live rows beyond the winner
-            for i in np.flatnonzero(alive & (h == hmin)):
-                past[i] = i != win and cands.row(i) > wrow
-            q = int(np.count_nonzero(alive)) - int(np.count_nonzero(past))
-            res, cut = ("success", cands.xrow(win), wrow), t0 + q > t_stop
-        else:  # a failed query at t_stop stops the run; a success there stands
-            q = int(np.count_nonzero(alive))
-            res, cut = ("exhausted",), t0 + q >= t_stop
-        self.t = int(t_stop) if cut else t0 + q
-        if full:
+            kept = self._summary(cands, h, alive, succ)
+        later, gaps = kept
+        # the clock stops at a failed query at t_stop; a success there stands
+        cut = t0 + gaps[0] >= t_stop
+        self.t = int(t_stop) if cut else t0 + gaps[0] + bool(later)
+        if full:  # a full trace never stores a summary, so this scan built its rows
             self._emit_queries(rec, cands, h, alive, succ, t0)
         if cut:
             # Q3 as the generic scan leaves it: at the last row the clock counted
@@ -670,11 +647,12 @@ class PathFinder:
             last = self._query_order(cands, h, alive)[self.t - t0 - 1]
             rec.cursor = (int(h[last]), cands.row(last))
             return ("stop", self.monitor.time_reason(self.t))
-        if res[0] == "success":
-            rec.cursor = (int(hmin), wrow)
-            if not full:
-                self._learn(rec, cands, h, past, succ)
-        return res
+        if not later:
+            return ("exhausted",)
+        rec.cursor, K = later[0], later[0][1]
+        if not full:
+            rec.resume = (later[1:], gaps[1:], self._marks(rec.jset))
+        return ("success", tuple(v for v in K if v not in rec.jset), K)
 
     @staticmethod
     def _query_order(cands: Candidates, h: np.ndarray, alive: np.ndarray) -> np.ndarray:

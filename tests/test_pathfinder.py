@@ -353,7 +353,6 @@ def check_candidates(J, xs, d, key=0x5EED):
     want = {tuple(sorted(J + X)): X for X in combinations(xs.tolist(), d)}
     rows = [cands.row(i) for i in range(cands.nrows)]
     assert sorted(rows) == sorted(want) and len(rows) == len(want)
-    assert [cands.xrow(i) for i in range(cands.nrows)] == [want[K] for K in rows]
     assert len(cands) == len(J) + d
     assert all(c.dtype == np.int32 and c.shape == (cands.nrows,) for c in cands)
     assert list(zip(*(c.tolist() for c in cands))) == rows
@@ -602,25 +601,43 @@ def test_every_replay_matches_a_fresh_scan():
     """Whenever a resumed scan replays its record's stored state, the
     successes and gap counts it gets equal those of a fresh scan: the
     candidates past the cursor in the checked scan's order, queried one by
-    one. Budget cutoffs at every clock value, over every resumable shape."""
-    replays = set()
+    one. And the state that every successful scan stores, fresh or replayed,
+    equals that reference past its new cursor. Budget cutoffs at every clock
+    value, over every resumable shape."""
+    seen = set()
+
+    def reference(finder, rec):
+        later, gaps = [], [0]
+        for h, K, _ in finder._scalar_order(rec):
+            if (h, K) <= rec.cursor:
+                continue
+            if finder.H.query_edge(K):
+                later.append((h, K))
+                gaps.append(0)
+            else:
+                gaps[-1] += 1
+        return later, gaps
 
     class Finder(PathFinder):
         def _replay(self, rec):
-            later, gaps = [], [0]
-            for h, K, _ in self._scalar_order(rec):
-                if (h, K) <= rec.cursor:
-                    continue
-                if self.H.query_edge(K):
-                    later.append((h, K))
-                    gaps.append(0)
-                else:
-                    gaps[-1] += 1
+            want = reference(self, rec)
             kept = super()._replay(rec)
             if kept is not None:
-                assert kept == (later, gaps)
-                replays.add((self.k, self.j))
+                assert kept == want
+                seen.add(("replay", self.k, self.j))
             return kept
+
+        def _summary(self, *args):
+            self.fresh = True
+            return super()._summary(*args)
+
+        def _scan_kernel(self, rec):
+            self.fresh = False
+            res = super()._scan_kernel(rec)
+            if res[0] == "success":
+                assert rec.resume[:2] == reference(self, rec)
+                seen.add(("fresh" if self.fresh else "replayed", "stored", self.k, self.j))
+            return res
 
     for n, k, j, p in RESUME_CASES:
         for seed in range(3):
@@ -629,7 +646,10 @@ def test_every_replay_matches_a_fresh_scan():
             for b in range(1, total + 1):
                 Finder(H, j, seed=seed, trace_level="summary",
                        stopping=StoppingConfig(enabled=frozenset(), budget=b)).run()
-    assert {(3, 1), (5, 2), (3, 2), (2, 1)} <= replays
+    for k, j in [(3, 1), (5, 2), (3, 2), (2, 1)]:
+        assert {("replay", k, j), ("fresh", "stored", k, j), ("replayed", "stored", k, j)} <= seen
+    for _, k, j, _ in RESUME_CASES:
+        assert ("fresh", "stored", k, j) in seen
 
 
 @pytest.mark.parametrize("J, edges, explore, rebuilt", [
