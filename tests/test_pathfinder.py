@@ -2,7 +2,7 @@
 
 import math
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -134,7 +134,10 @@ def test_allowed_candidates_q4_blocks():
     J = finder.stack[-1].jset
     outside = [x for x in range(6) if x not in J]
     dead = outside[0]
-    finder.explored.add(tuple(sorted((J[0], dead))))
+    # explore (J[0], dead) as the search does, so the explored-by index files it too
+    finder.stack.append(ActiveRecord(tuple(sorted((J[0], dead))), None, 0, Batch(0)))
+    finder.stack[-1].batch.remaining = 1
+    finder._explore_top()
     assert set(allowed_candidates(finder)) == {(x,) for x in outside[1:]}
 
 
@@ -960,8 +963,10 @@ def test_read_jsonl_rejects_malformed_files(tmp_path):
 
 
 def assert_no_missed_candidates(trace):
-    """Replay a full trace; when a j-set J retires, every unqueried candidate
-    disjoint from the path must contain some other already-explored j-set."""
+    """Replay a full trace; every queried candidate must be disjoint from the
+    path and contain no explored j-set, and when a j-set J retires, every
+    unqueried candidate disjoint from the path must contain some other
+    already-explored j-set."""
     n, k, j = trace.n, trace.k, trace.j
     d = k - j
     path: set[int] = set()
@@ -976,6 +981,8 @@ def assert_no_missed_candidates(trace):
         elif kind == "query":
             J = tuple(ev["jset"])
             X = tuple(sorted(set(ev["edge"]) - set(J)))
+            assert path.isdisjoint(X), f"candidate {X} of {J} meets the path"
+            assert explored.isdisjoint(combinations(ev["edge"], j)), f"candidate {X} of {J} is Q4-dead"
             queried.setdefault(J, set()).add(X)
         elif kind == "extend":
             fresh = [v for v in ev["edge"] if v not in path]
@@ -999,14 +1006,33 @@ def assert_no_missed_candidates(trace):
     assert len(explored) == trace.explored
 
 
+def rebuilt_explored_by(finder):
+    """T -> sorted [E \\ T] over explored j-sets E and their subsets T with
+    1 <= |E \\ T| <= min(j, k-j), from the explored set alone."""
+    index = {}
+    for E in finder.explored:
+        for i in range(1, min(finder.j, finder.d) + 1):
+            for S in combinations(E, i):
+                index.setdefault(tuple(v for v in E if v not in S), []).append(S)
+    return {T: sorted(parts) for T, parts in index.items()}
+
+
 def test_every_skipped_candidate_is_justified():
-    cases = [(9, 3, 2, 0.25), (10, 3, 2, 0.15), (12, 3, 1, 0.04), (10, 4, 2, 0.08)]
-    for n, k, j, p in cases:
+    """Both scans drop Q4-dead candidates through the explored-by index; the
+    trace replay checks each query and each skip against explored j-sets alone,
+    in both modes over all nine (k, j) with k <= 5."""
+    cases = [(9, 3, 2, 0.25), (10, 3, 2, 0.15), (12, 3, 1, 0.04), (10, 4, 2, 0.08),
+             (10, 4, 1, 0.012), (9, 4, 3, 0.5), (9, 5, 1, 0.01), (9, 5, 2, 0.03),
+             (9, 5, 3, 0.1), (9, 5, 4, 0.6)]
+    for (n, k, j, p), mode in product(cases, ("auto", "checked")):
         for seed in range(6):
             H = generate_explicit(n, k, p, seed=seed)
-            tr = run(H, k, j, seed=seed, trace_level="full")
+            finder = PathFinder(H, j, seed=seed, mode=mode, trace_level="full")
+            tr = finder.run()
             assert tr.stop_reason == "exhausted"
             assert_no_missed_candidates(tr)
+            index = {T: sorted(parts) for T, parts in finder.explored_by.items()}
+            assert index == rebuilt_explored_by(finder)
 
 
 # -- neutral stream ----------------------------------------------------------------
