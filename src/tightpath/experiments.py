@@ -34,8 +34,8 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 from ._rng import chain64, derive_key
 from .combinatorics import (
@@ -58,8 +58,6 @@ MODES = (
     "oracle_exact",
     "oracle_enumerate_subcritical",
 )
-
-CSV_HEADER = "n,k,j,eps,p,seed,trial,mode,L,censored,queries,new_starts,edges,stop_reason,ms"
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,12 @@ class TrialRecord:
     ms: float
 
     def row(self) -> list:
-        return [self.n, self.k, self.j, repr(self.eps), repr(self.p), self.seed,
-                self.trial, self.mode, self.L, int(self.censored), self.queries,
-                self.new_starts, self.edges, self.stop_reason, round(self.ms, 3)]
+        """The CSV row: every field in order, censored as 0/1 and ms rounded to 3 places."""
+        cells = {f.name: getattr(self, f.name) for f in fields(self)}
+        return list((cells | {"censored": int(self.censored), "ms": round(self.ms, 3)}).values())
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 def trial_seed(master_seed: int, n_index: int, eps_index: int, trial_index: int) -> int:
@@ -234,21 +235,14 @@ def write_csv(records: Iterable[TrialRecord], path) -> None:
 
 
 def read_csv(path) -> list[TrialRecord]:
-    out = []
+    """The records of a CSV written by write_csv, each column parsed by its field's type."""
+    parse = {name: (lambda v: bool(int(v))) if t is bool else t
+             for name, t in get_type_hints(TrialRecord).items()}
     with open(path, newline="") as fh:
         rd = csv.DictReader(fh)
         if rd.fieldnames != CSV_HEADER.split(","):
             raise ValueError(f"unexpected CSV header {rd.fieldnames}")
-        for row in rd:
-            out.append(TrialRecord(
-                n=int(row["n"]), k=int(row["k"]), j=int(row["j"]),
-                eps=float(row["eps"]), p=float(row["p"]), seed=int(row["seed"]),
-                trial=int(row["trial"]), mode=row["mode"], L=int(row["L"]),
-                censored=bool(int(row["censored"])), queries=int(row["queries"]),
-                new_starts=int(row["new_starts"]), edges=int(row["edges"]),
-                stop_reason=row["stop_reason"], ms=float(row["ms"]),
-            ))
-    return out
+        return [TrialRecord(**{name: f(row[name]) for name, f in parse.items()}) for row in rd]
 
 
 SUMMARY_HEADER = "n,eps,count,censored,L_mean,L_min,L_max,lower,upper,frac_within"

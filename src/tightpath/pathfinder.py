@@ -7,8 +7,12 @@ queries candidate edges K = J u X in priority order, where X ranges over the
 (k-j)-sets that are disjoint from the current path (Q2), not yet queried from
 J (Q3), and such that K contains no explored j-set (Q4). A positive answer
 appends K as the next path edge and activates a batch of C(k-j, a) successor
-j-sets; when J runs out of candidates it is explored, and once a whole batch
-is explored the edge that spawned it is removed.
+j-sets, pushed together above J. Each is new: it is not active, since it holds
+a vertex of K \\ J, which was off the path (Q2) where every active j-set lies,
+and not explored, since it lies inside K (Q4). When J runs out of candidates
+it is explored. A batch is spent, and its edge removed, when its last member
+is popped; the stack itself records that, as the record then on top is the
+one whose success made the edge, of a smaller edge index.
 
 Candidate priorities are keyed hashes (ties broken by the canonical vertex
 tuple), so queries on one k-set never condition the others and a run is a
@@ -99,24 +103,17 @@ BAND = 8192
 CHUNK = 1 << 20
 
 
-class Batch:
-    """Bookkeeping for the j-sets activated together from one edge.
-
-    edge_index 0 marks a new-start singleton; its exhaustion removes nothing.
-    """
-
-    __slots__ = ("edge_index", "remaining", "skipped")
-
-    def __init__(self, edge_index: int):
-        self.edge_index = edge_index
-        self.remaining = 0
-        self.skipped = 0
-
-
 class ActiveRecord:
-    """One active j-set: identity, extendable partition, spawning edge index,
-    owning batch, and its Q3 state: the (priority, K) cursor of the last
-    candidate queried from it, the same in both scans.
+    """One active j-set: identity, extendable partition, the index m of the
+    edge whose batch it belongs to (0 for a new start), and its Q3 state: the
+    (priority, K) cursor of the last candidate queried from it, the same in
+    both scans.
+
+    A batch is pushed all at once, directly above the record whose success
+    made edge m, and that record has edge index m-1. So the batch is spent,
+    and edge m goes, when a record of edge index m >= 1 is popped and the
+    record left on top has a smaller one. Every member is new (see the
+    module docstring), so the batch has all C(k-j, a) members.
 
     A vector scan that ends on a success (below the trace level full, and not
     cut by the clock) also leaves ``resume`` for the record's next scan: the
@@ -126,13 +123,12 @@ class ActiveRecord:
     candidates is filed. That is O(successes) ints, never a row.
     """
 
-    __slots__ = ("jset", "partition", "edge_index", "batch", "order", "cursor", "resume")
+    __slots__ = ("jset", "partition", "edge_index", "order", "cursor", "resume")
 
-    def __init__(self, jset, partition, edge_index, batch):
+    def __init__(self, jset, partition, edge_index):
         self.jset = jset
         self.partition = partition
         self.edge_index = edge_index
-        self.batch = batch
         self.order = None  # generic scan: iterator over its cached [(priority, K, X)]
         self.cursor = None  # (priority, K) last queried from J; past every K once spent
         self.resume = None  # vector scan: (later successes, gap counts, explored_by marks)
@@ -141,27 +137,23 @@ class ActiveRecord:
 def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
     """Successor j-sets and partitions for a found edge K queried from J.
 
-    For r >= 1 the successors are (Z u C2 u ... u Cr u (K\\J), (Z, C2, ..., Cr, K\\J))
-    over the a-subsets Z of C1; for r = 0 they are the a-subsets of K\\J with
-    singleton partition (Z,). Returned in canonical (sorted j-set) order; the
-    search itself pushes them in priority order.
+    J's partition (C0, C1, ..., Cr) drops C0 and appends X = K\\J, giving
+    (C1, ..., Cr, X); each a-subset Z of its first part then replaces that
+    part. So for r >= 1 the successors are (Z, C2, ..., Cr, X) over the
+    a-subsets Z of C1, and for r = 0 the singletons (Z,) over those of X.
+    Returned in canonical (sorted j-set) order; the search itself pushes them
+    in priority order.
     """
     params = state.params if hasattr(state, "params") else state
     jset = tuple(sorted(J))
     X = tuple(sorted(set(K) - set(jset)))
     if len(X) != params.k - params.j or not set(jset) <= set(K):
         raise ValueError("K must extend J by exactly k-j fresh vertices")
+    parts = tuple(tuple(part) for part in partition[1:]) + (X,)
     members = []
-    if params.r >= 1:
-        c1 = partition[1]
-        rest = tuple(tuple(part) for part in partition[2:])
-        for Z in combinations(c1, params.a):
-            parts = (Z,) + rest + (X,)
-            js = tuple(sorted(v for part in parts for v in part))
-            members.append((js, parts))
-    else:
-        for Z in combinations(X, params.a):
-            members.append((Z, (Z,)))
+    for Z in combinations(parts[0], params.a):
+        sub = (Z,) + parts[1:]
+        members.append((tuple(sorted(v for part in sub for v in part)), sub))
     members.sort()
     return members
 
@@ -265,32 +257,19 @@ class RunTrace:
     events: list = field(default_factory=list)
 
     SCHEMA = 1
+    # the header line's fields after "schema", and the summary line's keys and
+    # the field each one holds, in file order
+    HEADER = ("n", "k", "j", "seed", "mode", "trace_level")
+    SUMMARY = {"stop_reason": "stop_reason", "max_ell": "max_ell", "final_ell": "final_ell",
+               "queries": "queries", "new_starts": "new_starts", "edges_found": "positives",
+               "activations": "activations", "skips": "skips", "discovered": "discovered",
+               "explored": "explored", "ms": "ms"}
 
     def summary(self) -> dict:
-        return {
-            "stop_reason": self.stop_reason,
-            "max_ell": self.max_ell,
-            "final_ell": self.final_ell,
-            "queries": self.queries,
-            "new_starts": self.new_starts,
-            "edges_found": self.positives,
-            "activations": self.activations,
-            "skips": self.skips,
-            "discovered": self.discovered,
-            "explored": self.explored,
-            "ms": round(self.ms, 3),
-        }
+        return {key: getattr(self, f) for key, f in self.SUMMARY.items()} | {"ms": round(self.ms, 3)}
 
     def header(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "n": self.n,
-            "k": self.k,
-            "j": self.j,
-            "seed": self.seed,
-            "mode": self.mode,
-            "trace_level": self.trace_level,
-        }
+        return {"schema": self.SCHEMA, **{f: getattr(self, f) for f in self.HEADER}}
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -310,23 +289,11 @@ class RunTrace:
             raise ValueError("unrecognized trace header")
         if tail.get("kind") != "summary":
             raise ValueError("trace missing summary line")
-        trace = cls(
-            n=head["n"], k=head["k"], j=head["j"], seed=head["seed"],
-            mode=head["mode"], trace_level=head["trace_level"],
-        )
-        trace.events = lines[1:-1]
-        trace.stop_reason = tail["stop_reason"]
-        trace.max_ell = tail["max_ell"]
-        trace.final_ell = tail["final_ell"]
-        trace.queries = tail["queries"]
-        trace.new_starts = tail["new_starts"]
-        trace.positives = tail["edges_found"]
-        trace.activations = tail["activations"]
-        trace.skips = tail["skips"]
-        trace.discovered = tail["discovered"]
-        trace.explored = tail["explored"]
-        trace.ms = tail["ms"]
-        return trace
+        for line, keys in ((head, cls.HEADER), (tail, cls.SUMMARY)):
+            if missing := [key for key in keys if key not in line]:
+                raise ValueError(f"trace {line['kind']} line lacks {missing}")
+        return cls(**{f: head[f] for f in cls.HEADER},
+                   **{f: tail[key] for key, f in cls.SUMMARY.items()}, events=lines[1:-1])
 
 
 class PathFinder:
@@ -377,7 +344,6 @@ class PathFinder:
         self.max_ell = 0
         self.positives = 0
         self.activations = 0
-        self.skips = 0
 
         self.blocks: list[list[int]] = []
         self.edges: list[tuple] = []
@@ -426,16 +392,14 @@ class PathFinder:
         if self.checked:
             self._check_path()
 
-    def _remove_edge(self, batch: Batch) -> None:
-        assert batch.edge_index >= 1 and batch.remaining == 0
-        assert self.ell == batch.edge_index, "retreat out of position"
+    def _remove_edge(self, m: int) -> None:
+        assert self.ell == m, "retreat out of position"
         gone = self.blocks.pop()
         for v in gone:
             self.in_path[v] = False
         self.edges.pop()
         self.ell -= 1
-        self._emit({"event": "edge_removed", "t": self.t,
-                    "edge_index": batch.edge_index, "ell": self.ell})
+        self._emit({"event": "edge_removed", "t": self.t, "edge_index": m, "ell": self.ell})
         if self.checked:
             self._check_path()
 
@@ -696,9 +660,7 @@ class PathFinder:
             jset[p.a + i * self.d: p.a + (i + 1) * self.d] for i in range(p.r)
         )
         self._reset_path(jset, partition)
-        batch = Batch(edge_index=0)
-        batch.remaining = 1
-        self.stack = [ActiveRecord(jset, partition, 0, batch)]
+        self.stack = [ActiveRecord(jset, partition, 0)]
         self.discovered.add(jset)
         self.monitor.on_discover(jset, new_start=True)
         self._emit({"event": "new_start", "t": self.t, "jset": list(jset),
@@ -713,39 +675,27 @@ class PathFinder:
                 T = tuple(v for v in rec.jset if v not in S)
                 self.explored_by.setdefault(T, []).append(S)
         self._emit({"event": "explored", "t": self.t, "jset": list(rec.jset)})
-        batch = rec.batch
-        batch.remaining -= 1
-        if batch.remaining == 0 and batch.edge_index >= 1:
-            self._remove_edge(batch)
+        m = rec.edge_index  # a batch lies directly above a record of edge index m-1
+        if m and self.stack[-1].edge_index < m:
+            self._remove_edge(m)
 
     def _activate(self, rec: ActiveRecord, K: tuple) -> None:
+        """Push K's batch in priority order; every member is new (see the module docstring)."""
         members = activate_batch(self.params, rec.jset, rec.partition, K)
         members.sort(key=lambda m: (chain64(self.sigj_key, m[0]), m[0]))
-        batch = Batch(edge_index=self.ell)
-        pushed = []
-        for js, part in members:
-            if js in self.discovered:
-                batch.skipped += 1
-                self.skips += 1
-                self._emit({"event": "skip", "t": self.t, "jset": list(js)})
-            else:
-                self.discovered.add(js)
-                self.monitor.on_discover(js, new_start=False)
-                pushed.append(ActiveRecord(js, part, batch.edge_index, batch))
-                batch.remaining += 1
-                self.activations += 1
-        self._emit({"event": "batch", "t": self.t, "edge_index": batch.edge_index,
-                    "members": [list(r.jset) for r in pushed],
-                    "skipped": batch.skipped})
-        self.stack.extend(pushed)
+        for js, _ in members:
+            self.discovered.add(js)
+            self.monitor.on_discover(js, new_start=False)
+        self.activations += len(members)
+        self._emit({"event": "batch", "t": self.t, "edge_index": self.ell,
+                    "members": [list(js) for js, _ in members], "skipped": 0})
+        self.stack.extend(ActiveRecord(js, part, self.ell) for js, part in members)
         self.positives += 1
-        if batch.remaining == 0:
-            self._remove_edge(batch)
 
     def _check_invariants(self) -> None:
         p = self.params
         assert len(self.stack) <= 1 + p.batch_size * self.ell
-        assert self.activations + self.skips == p.batch_size * self.positives
+        assert self.activations == p.batch_size * self.positives
         assert self.monitor.new_starts + self.activations == len(self.discovered)
         assert len(self.stack) + len(self.explored) == len(self.discovered)
         assert all(self.in_path[v] for r in self.stack for v in r.jset)
@@ -791,9 +741,8 @@ class PathFinder:
             trace_level=self.trace_level, stop_reason=self.stop_reason,
             max_ell=self.max_ell, final_ell=self.ell, queries=self.t,
             new_starts=self.monitor.new_starts, positives=self.positives,
-            activations=self.activations, skips=self.skips,
-            discovered=len(self.discovered), explored=len(self.explored),
-            ms=self.ms, events=self.events,
+            activations=self.activations, discovered=len(self.discovered),
+            explored=len(self.explored), ms=self.ms, events=self.events,
         )
 
 

@@ -1,5 +1,7 @@
 """Search engine: scan order, state surgery, traces, stopping integration."""
 
+import hashlib
+import json
 import math
 import time
 from itertools import combinations, product
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath._rng import chain64, chain64_np, derive_key
+from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
     Candidates,
     ExplicitHypergraph,
@@ -22,7 +25,6 @@ from tightpath.oracle import longest_path_exact
 from tightpath.pathfinder import (
     TRACE_LEVELS,
     ActiveRecord,
-    Batch,
     PathFinder,
     RunTrace,
     _NeutralStream,
@@ -135,8 +137,7 @@ def test_allowed_candidates_q4_blocks():
     outside = [x for x in range(6) if x not in J]
     dead = outside[0]
     # explore (J[0], dead) as the search does, so the explored-by index files it too
-    finder.stack.append(ActiveRecord(tuple(sorted((J[0], dead))), None, 0, Batch(0)))
-    finder.stack[-1].batch.remaining = 1
+    finder.stack.append(ActiveRecord(tuple(sorted((J[0], dead))), None, 0))
     finder._explore_top()
     assert set(allowed_candidates(finder)) == {(x,) for x in outside[1:]}
 
@@ -263,6 +264,32 @@ def test_retreat_removes_the_edge_of_a_spent_batch():
     assert top.jset in finder.explored
     assert finder.ell == 0 and finder.edges == []
     assert set(np.flatnonzero(finder.in_path)) == set(rec.jset)
+
+
+@pytest.mark.parametrize("k, j", [(3, 1), (5, 2)])
+@pytest.mark.parametrize("mode", ["auto", "checked"])
+def test_edge_stays_until_the_last_batch_member_is_explored(k, j, mode):
+    """A batch of 2 or 3 members, explored one by one: the edge that made it,
+    and the path's length, stay until the last member goes, then roll back."""
+    finder = PathFinder(empty_H(9, k=k), j=j, mode=mode)
+    finder._new_start()
+    rec = finder.stack[-1]
+    X = tuple(v for v in range(9) if v not in rec.jset)[: k - j]
+    K = tuple(sorted(rec.jset + X))
+    finder._extend(rec, X, K)
+    finder._activate(rec, K)
+    batch = finder.stack[1:]
+    assert len(batch) == finder.params.batch_size >= 2
+    for left in range(len(batch) - 1, -1, -1):
+        assert finder.ell == 1 and finder.edges == [K]
+        assert set(np.flatnonzero(finder.in_path)) == set(K)
+        assert finder._scan(finder.stack[-1]) == ("exhausted",)
+        retreat(finder)
+        assert len(finder.stack) == 1 + left
+    assert finder.stack == [rec]
+    assert finder.ell == 0 and finder.edges == []
+    assert set(np.flatnonzero(finder.in_path)) == set(rec.jset)
+    assert [ev["event"] for ev in finder.events].count("edge_removed") == 1
 
 
 # -- whole-run behaviour ------------------------------------------------------
@@ -678,12 +705,11 @@ def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
         for mode in ("auto", "checked"):
             f = PathFinder(H, len(J), seed=seed, mode=mode)
             f.in_path[[*J, 9]] = True
-            rec = ActiveRecord(J, None, 0, Batch(0))
+            rec = ActiveRecord(J, None, 0)
             f.stack = [rec]
             steps = [f._scan(rec)]
             for E in explore:
-                f.stack.append(ActiveRecord(E, None, 0, Batch(0)))
-                f.stack[-1].batch.remaining = 1
+                f.stack.append(ActiveRecord(E, None, 0))
                 f._explore_top()
             f._q4_mask = lambda J, cands, q4=f._q4_mask: builds.append(J) or q4(J, cands)
             while steps[-1][0] == "success":
@@ -957,6 +983,14 @@ def test_read_jsonl_rejects_malformed_files(tmp_path):
     p.write_text("\n".join(lines[:-1]) + "\n")  # drop the summary line
     with pytest.raises(ValueError):
         RunTrace.read_jsonl(p)
+    for at, key in ((-1, "max_ell"), (0, "mode")):  # a summary or header key missing
+        broken = list(lines)
+        line = json.loads(broken[at])
+        del line[key]
+        broken[at] = json.dumps(line)
+        p.write_text("\n".join(broken) + "\n")
+        with pytest.raises(ValueError, match=key):
+            RunTrace.read_jsonl(p)
 
 
 # -- completeness of the skip rules ----------------------------------------------
@@ -1033,6 +1067,38 @@ def test_every_skipped_candidate_is_justified():
             assert_no_missed_candidates(tr)
             index = {T: sorted(parts) for T, parts in finder.explored_by.items()}
             assert index == rebuilt_explored_by(finder)
+
+
+# -- pinned traces -----------------------------------------------------------------
+
+
+def trace_digest(traces):
+    """sha256 over each trace's header, events and summary without ms."""
+    h = hashlib.sha256()
+    for tr in traces:
+        for line in (tr.header(), *tr.events, summary_no_ms(tr)):
+            h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+PINNED_DIGEST = "3c066be99b164e94cf56aa68a6ac6f770d1faf45ce9f47e59f817d5481161be7"
+
+
+def test_full_traces_match_the_pinned_digest():
+    """Full traces of both engines on small explicit instances of every (k, j)
+    with 3 <= k <= 5, unbounded and cut by a budget, hash to a pinned digest.
+    The engine differentials compare the two engines with each other; this
+    pins the code they share (extension, batch activation and order, edge
+    removal, the explored-by index, the neutral stream) as well."""
+    def traces():
+        for k in (3, 4, 5):
+            for j in range(1, k):
+                for n, c, seed in product((9, 11), (0.5, 2.0), (0, 1)):
+                    H = generate_explicit(n, k, c * threshold_p0(n, k, j), seed=seed)
+                    for mode, budget in product(("auto", "checked"), (None, 41)):
+                        yield run(H, k, j, seed=seed, stopping=StoppingConfig.unbounded(budget),
+                                  mode=mode, trace_level="full")
+    assert trace_digest(traces()) == PINNED_DIGEST
 
 
 # -- neutral stream ----------------------------------------------------------------
