@@ -37,7 +37,6 @@ from .monitor import (
     StoppingConfig,
     default_c_ladder,
     forbidden_counts,
-    update_degrees,
 )
 from .oracle import (
     OracleResult,
@@ -94,7 +93,6 @@ __all__ = [
     "structural_params",
     "theorem_bounds",
     "threshold_p0",
-    "update_degrees",
     "write_csv",
     "write_summary_csv",
     "z_ell",

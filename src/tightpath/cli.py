@@ -123,6 +123,9 @@ def _build_stopping(args, n: int) -> StoppingConfig | None:
 def cmd_run(args) -> int:
     seed = args.seed
     if args.hypergraph:
+        for flag, val in (("-n", args.n), ("-p", args.p)):
+            if val is not None:
+                raise ValueError(f"{flag} is for a lazy instance, not beside --hypergraph")
         H = hypergraph.ExplicitHypergraph.read_text(args.hypergraph)
         if args.k is None:
             args.k = H.k
@@ -193,15 +196,13 @@ def _verify_z(args) -> bool:
     checked = 0
     for k in range(2, 7):
         for j in range(1, k):
-            ell = 0
-            while combinatorics.path_vertex_count(k, j, ell) <= 9:
+            for ell in combinatorics.iter_lengths_with_vertex_budget(k, j, 9):
                 closed = combinatorics.z_ell(k, j, ell)
                 brute = z_ell_bruteforce(k, j, ell)
                 if closed != brute:
                     print(f"FAIL z({k},{j},{ell}): closed {closed} != brute {brute}")
                     return False
                 checked += 1
-                ell += 1
     print(f"PASS z formula: {checked} (k, j, ell) points match brute force")
     return True
 

@@ -153,12 +153,6 @@ class DegreeTracker:
         return self.counts[0].get((), 0)
 
 
-def update_degrees(tracker: DegreeTracker, new_jsets: Iterable[Sequence[int]]) -> DegreeTracker:
-    for jset in new_jsets:
-        tracker.update(jset)
-    return tracker
-
-
 class Monitor:
     """Evaluates the stopping conditions against a run's counters.
 
@@ -245,7 +239,7 @@ class ForbiddenCounters:
 F2_EXACT_LIMIT = 10**6
 
 
-def forbidden_counts(finder, f2_exact_limit: int = F2_EXACT_LIMIT) -> ForbiddenCounters:
+def forbidden_counts(finder) -> ForbiddenCounters:
     """Forbidden-extension counters for the current top-of-stack j-set.
 
     Type 1 (blocked by path vertices): exact via the complement identity
@@ -271,7 +265,7 @@ def forbidden_counts(finder, f2_exact_limit: int = F2_EXACT_LIMIT) -> ForbiddenC
             f2_bound += math.comb(j, z) * maxdeg * math.comb(max(n - 2 * j + z, 0), k - 2 * j + z)
 
     f2_exact = None
-    if math.comb(n - j, d) <= f2_exact_limit:
+    if math.comb(n - j, d) <= F2_EXACT_LIMIT:
         assert J not in finder.explored  # J is active, so only other j-sets block
         outside_path = (~finder.in_path).nonzero()[0].tolist()
         f2_exact = sum(finder._q4_dead(tuple(sorted(J + X)))

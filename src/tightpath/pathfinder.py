@@ -5,14 +5,15 @@ active (a LIFO stack), and explored. The outer loop promotes the priority-least
 neutral j-set to a new start; the inner loop takes the top-of-stack j-set J and
 queries candidate edges K = J u X in priority order, where X ranges over the
 (k-j)-sets that are disjoint from the current path (Q2), not yet queried from
-J (Q3), and such that K contains no explored j-set (Q4). A positive answer
-appends K as the next path edge and activates a batch of C(k-j, a) successor
-j-sets, pushed together above J. Each is new: it is not active, since it holds
-a vertex of K \\ J, which was off the path (Q2) where every active j-set lies,
-and not explored, since it lies inside K (Q4). When J runs out of candidates
-it is explored. A batch is spent, and its edge removed, when its last member
-is popped; the stack itself records that, as the record then on top is the
-one whose success made the edge, of a smaller edge index.
+J (Q3), and such that K contains no explored j-set (Q4). A scan answers the K
+that succeeded; X = K \\ J is derived from it where it is used. A positive
+answer appends K as the next path edge and activates a batch of C(k-j, a)
+successor j-sets, pushed together above J. Each is new: it is not active,
+since it holds a vertex of K \\ J, which was off the path (Q2) where every
+active j-set lies, and not explored, since it lies inside K (Q4). When J runs
+out of candidates it is explored. A batch is spent, and its edge removed, when
+its last member is popped; the stack itself records that, as the record then
+on top is the one whose success made the edge, of a smaller edge index.
 
 Candidate priorities are keyed hashes (ties broken by the canonical vertex
 tuple), so queries on one k-set never condition the others and a run is a
@@ -20,12 +21,14 @@ deterministic function of (backend, seed, config).
 
 The path is stored as blocks: one block of size a, then one of size k-j per
 remaining position. Edge e_m equals the last a vertices of block m-1 plus
-blocks m..m+r, so a j-set activated from e_m has its partition parts at blocks
-m+1..m+r+1 and extends exactly when the path again has m edges. Extending
-reorders the donor block so the extender's C0 occupies its tail; no existing
-edge depends on that block's internal order at that moment. The blocks hold
-the path's order; ``in_path``, a boolean array over the vertices, is the one
-record of its vertex set, and Q2 reads it.
+blocks m..m+r. The blocks are also every active j-set's partition: one of
+edge index m is its a vertices C0 in block m plus blocks m+1..m+r, and it
+extends exactly when the path again has m edges. Extending moves C0 to the
+tail of block m (no existing edge depends on that block's internal order at
+that moment) and appends X = K \\ J as a new block, so the found edge's batch
+is each a-subset of block -(r+1) joined with the last r blocks. The blocks
+hold the path's order; ``in_path``, a boolean array over the vertices, is the
+one record of its vertex set, and Q2 reads it.
 
 Q3 is one cursor per active j-set: the (priority, K) of the last candidate
 queried from it. Both scans resume past it, a scan cut by S2 or the budget
@@ -87,7 +90,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -104,10 +107,11 @@ CHUNK = 1 << 20
 
 
 class ActiveRecord:
-    """One active j-set: identity, extendable partition, the index m of the
-    edge whose batch it belongs to (0 for a new start), and its Q3 state: the
-    (priority, K) cursor of the last candidate queried from it, the same in
-    both scans.
+    """One active j-set: identity, the index m of the edge whose batch it
+    belongs to (0 for a new start), and its Q3 state: the (priority, K) cursor
+    of the last candidate queried from it, the same in both scans. Its
+    partition is read off the path's blocks: its a vertices in block m, then
+    blocks m+1..m+r.
 
     A batch is pushed all at once, directly above the record whose success
     made edge m, and that record has edge index m-1. So the batch is spent,
@@ -123,39 +127,28 @@ class ActiveRecord:
     candidates is filed. That is O(successes) ints, never a row.
     """
 
-    __slots__ = ("jset", "partition", "edge_index", "order", "cursor", "resume")
+    __slots__ = ("jset", "edge_index", "order", "cursor", "resume")
 
-    def __init__(self, jset, partition, edge_index):
+    def __init__(self, jset, edge_index):
         self.jset = jset
-        self.partition = partition
         self.edge_index = edge_index
-        self.order = None  # generic scan: iterator over its cached [(priority, K, X)]
+        self.order = None  # generic scan: iterator over its cached [(priority, K)]
         self.cursor = None  # (priority, K) last queried from J; past every K once spent
         self.resume = None  # vector scan: (later successes, gap counts, explored_by marks)
 
 
-def activate_batch(state, J: Sequence[int], partition, K: Sequence[int]):
-    """Successor j-sets and partitions for a found edge K queried from J.
+def activate_batch(params: StructuralParams, blocks) -> list[tuple]:
+    """The batch of the edge just appended to a path of the given blocks:
+    each a-subset Z of block -(r+1) joined with the last r blocks.
 
-    J's partition (C0, C1, ..., Cr) drops C0 and appends X = K\\J, giving
-    (C1, ..., Cr, X); each a-subset Z of its first part then replaces that
-    part. So for r >= 1 the successors are (Z, C2, ..., Cr, X) over the
-    a-subsets Z of C1, and for r = 0 the singletons (Z,) over those of X.
-    Returned in canonical (sorted j-set) order; the search itself pushes them
-    in priority order.
+    The edge K, found from J = C0 u C1 u ... u Cr (C0 in block m, Ci block
+    m+i), appended X = K \\ J as the last block. So for r >= 1 the members
+    are Z u C2 u ... u Cr u X over the a-subsets Z of C1, and for r = 0 the
+    a-subsets of X. Returned as sorted j-sets in canonical order; the search
+    itself pushes them in priority order.
     """
-    params = state.params if hasattr(state, "params") else state
-    jset = tuple(sorted(J))
-    X = tuple(sorted(set(K) - set(jset)))
-    if len(X) != params.k - params.j or not set(jset) <= set(K):
-        raise ValueError("K must extend J by exactly k-j fresh vertices")
-    parts = tuple(tuple(part) for part in partition[1:]) + (X,)
-    members = []
-    for Z in combinations(parts[0], params.a):
-        sub = (Z,) + parts[1:]
-        members.append((tuple(sorted(v for part in sub for v in part)), sub))
-    members.sort()
-    return members
+    tail = tuple(v for b in blocks[len(blocks) - params.r:] for v in b)
+    return sorted(tuple(sorted(Z + tail)) for Z in combinations(blocks[-1 - params.r], params.a))
 
 
 class _NeutralStream:
@@ -368,20 +361,22 @@ class PathFinder:
 
     # -- path surgery ------------------------------------------------------
 
-    def _reset_path(self, jset: tuple, partition) -> None:
-        self.blocks = [list(part) for part in partition]
+    def _reset_path(self, jset: tuple) -> None:
+        a, d = self.params.a, self.d
+        self.blocks = [list(jset[:a])] + [list(jset[i : i + d]) for i in range(a, self.j, d)]
         self.edges = []
         self.ell = 0
         self.in_path.fill(False)
         self.in_path[list(jset)] = True
 
-    def _extend(self, rec: ActiveRecord, X: tuple, K: tuple) -> None:
+    def _extend(self, rec: ActiveRecord, K: tuple) -> None:
         m = rec.edge_index
         assert self.ell == m, "extension out of position"
         donor = self.blocks[m]
-        c0 = set(rec.partition[0])
+        c0 = set(rec.jset).intersection(donor)
         donor[:] = [v for v in donor if v not in c0] + sorted(c0)
-        self.blocks.append(sorted(X))
+        X = [v for v in K if v not in rec.jset]
+        self.blocks.append(X)
         for v in X:
             self.in_path[v] = True
         self.ell += 1
@@ -429,7 +424,7 @@ class PathFinder:
         return [S for T in combinations(J, self.j - i) for S in self.explored_by.get(T, ())]
 
     def _scalar_order(self, rec: ActiveRecord) -> list[tuple]:
-        """[(priority, K, X)] over every X disjoint from the path, in query order, minus
+        """[(priority, K)] over every X disjoint from the path, in query order, minus
         the Q4-dead K, dropped through _filed before K is built: explored j-sets only
         accumulate, so those never revive (_scan_generic re-checks K for later kills)."""
         free = ~self.in_path
@@ -440,7 +435,7 @@ class PathFinder:
         for X in combinations(free.nonzero()[0].tolist(), self.d):
             if all(S.isdisjoint(combinations(X, i)) for i, S in dead):
                 K = tuple(sorted(rec.jset + X))
-                ent.append((chain64(self.sigk_key, K), K, X))
+                ent.append((chain64(self.sigk_key, K), K))
         ent.sort()
         return ent
 
@@ -449,12 +444,13 @@ class PathFinder:
             rec.order = iter(self._scalar_order(rec))
         t_stop = self._t_stop()
         full = self.trace_level == "full"
-        for h, K, X in rec.order:
+        for entry in rec.order:
+            K = entry[1]
             if self._q4_dead(K):
                 continue
             if self.audit:
-                self._audit_candidate(X)
-            rec.cursor = (h, K)
+                self._audit_candidate(rec, entry)
+            rec.cursor = entry
             self.t += 1
             outcome = self.H.query_edge(K)
             assert K not in self.queried_ksets, "duplicate k-set query"
@@ -463,14 +459,14 @@ class PathFinder:
                 self._emit({"event": "query", "t": self.t, "jset": list(rec.jset),
                             "edge": list(K), "outcome": bool(outcome)})
             if outcome:
-                return ("success", X, K)
+                return ("success", K)
             if self.t >= t_stop:
                 return ("stop", self.monitor.time_reason(self.t))
         return ("exhausted",)
 
-    def _audit_candidate(self, X: tuple) -> None:
-        fam = allowed_candidates(self)[:1]
-        assert fam == [X], f"scan order diverged: {X} vs {fam}"
+    def _audit_candidate(self, rec: ActiveRecord, entry: tuple) -> None:
+        fam = [e for e in self._scalar_order(rec) if e > (rec.cursor or ())][:1]
+        assert fam == [entry], f"scan order diverged: {entry} vs {fam}"
 
     def _q4_mask(self, J: tuple, cands: Candidates) -> np.ndarray:
         """Q4 for completions of 2 or more vertices: False where X holds a part
@@ -623,10 +619,10 @@ class PathFinder:
             return ("stop", self.monitor.time_reason(self.t))
         if not later:
             return ("exhausted",)
-        rec.cursor, K = later[0], later[0][1]
+        rec.cursor = later[0]
         if not full:
             rec.resume = (later[1:], gaps[1:], self._marks(rec.jset))
-        return ("success", tuple(v for v in K if v not in rec.jset), K)
+        return ("success", rec.cursor[1])
 
     @staticmethod
     def _query_order(cands: Candidates, h: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -655,16 +651,12 @@ class PathFinder:
         jset = self.stream.pop()
         if jset is None:
             return False
-        p = self.params
-        partition = (jset[: p.a],) + tuple(
-            jset[p.a + i * self.d: p.a + (i + 1) * self.d] for i in range(p.r)
-        )
-        self._reset_path(jset, partition)
-        self.stack = [ActiveRecord(jset, partition, 0)]
+        self._reset_path(jset)
+        self.stack = [ActiveRecord(jset, 0)]
         self.discovered.add(jset)
         self.monitor.on_discover(jset, new_start=True)
         self._emit({"event": "new_start", "t": self.t, "jset": list(jset),
-                    "partition": [list(part) for part in partition]})
+                    "partition": [list(b) for b in self.blocks]})
         return True
 
     def _explore_top(self) -> None:
@@ -679,17 +671,18 @@ class PathFinder:
         if m and self.stack[-1].edge_index < m:
             self._remove_edge(m)
 
-    def _activate(self, rec: ActiveRecord, K: tuple) -> None:
-        """Push K's batch in priority order; every member is new (see the module docstring)."""
-        members = activate_batch(self.params, rec.jset, rec.partition, K)
-        members.sort(key=lambda m: (chain64(self.sigj_key, m[0]), m[0]))
-        for js, _ in members:
+    def _activate(self) -> None:
+        """Push the batch of the edge just appended in priority order; every
+        member is new (see the module docstring)."""
+        members = activate_batch(self.params, self.blocks)
+        members.sort(key=lambda js: (chain64(self.sigj_key, js), js))
+        for js in members:
             self.discovered.add(js)
             self.monitor.on_discover(js, new_start=False)
         self.activations += len(members)
         self._emit({"event": "batch", "t": self.t, "edge_index": self.ell,
-                    "members": [list(js) for js, _ in members], "skipped": 0})
-        self.stack.extend(ActiveRecord(js, part, self.ell) for js, part in members)
+                    "members": [list(js) for js in members], "skipped": 0})
+        self.stack.extend(ActiveRecord(js, self.ell) for js in members)
         self.positives += 1
 
     def _check_invariants(self) -> None:
@@ -702,17 +695,20 @@ class PathFinder:
 
     def _step(self) -> Optional[str]:
         rec = self.stack[-1]
-        if self.checked:
-            assert self.ell == rec.edge_index
+        if self.checked:  # J is its a vertices in block m plus blocks m+1..m+r
+            m = rec.edge_index
+            assert self.ell == m
+            J = set(rec.jset)
+            assert len(J.intersection(self.blocks[m])) == self.params.a
+            assert J.difference(self.blocks[m]) == set().union(*self.blocks[m + 1 :])
         res = self._scan(rec)
         if res[0] == "stop":
             return res[1]
         if res[0] == "exhausted":
             self._explore_top()
             return None
-        _, X, K = res
-        self._extend(rec, X, K)
-        self._activate(rec, K)
+        self._extend(rec, res[1])
+        self._activate()
         if self.checked:
             self._check_invariants()
         return self.monitor.check_stop(self.ell, self.t)
@@ -770,13 +766,16 @@ def allowed_candidates(finder: PathFinder) -> list[tuple]:
     """The X = K\\J still queryable from the top-of-stack J, in query order.
 
     Rebuilt from scratch: Q2 against ``in_path``, Q3 against the record's
-    (priority, K) cursor, which both scans keep, and Q4 against the explored
-    set. So it gives the same answer for either engine, after a stop too.
+    (priority, K) cursor, which both scans keep, and Q4 against the
+    explored-by index. So it gives the same answer for either engine, after
+    a stop too.
     """
     if not finder.stack:
         raise ValueError("no active j-set")
-    last = finder.stack[-1].cursor or ()  # () precedes every entry
-    return [e[2] for e in finder._scalar_order(finder.stack[-1]) if e[:2] > last]
+    rec = finder.stack[-1]
+    last = rec.cursor or ()  # () precedes every entry
+    return [tuple(v for v in e[1] if v not in rec.jset)
+            for e in finder._scalar_order(rec) if e > last]
 
 
 def retreat(finder: PathFinder) -> PathFinder:

@@ -109,6 +109,17 @@ def test_run_arity_mismatch(tmp_path, capsys):
     assert "uniform" in err
 
 
+def test_run_rejects_n_and_p_beside_a_hypergraph_file(tmp_path, capsys):
+    """The file fixes the instance, so -n or -p beside --hypergraph is an
+    error naming the flag, not a value silently ignored."""
+    hpath = tmp_path / "h.txt"
+    run_cli(capsys, "gen", "-k", "3", "-n", "10", "-p", "0.1", "--out", str(hpath))
+    for flag, val in (("-n", "10"), ("-p", "0.1")):
+        code, out, err = run_cli(capsys, "run", "--hypergraph", str(hpath), "-j", "2", flag, val)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
 def test_run_budget_exit_code(capsys):
     code, out, _ = run_cli(capsys, "run", "-n", "30", "-k", "3", "-p", "0.0",
                            "-j", "2", "--budget", "5")

@@ -20,7 +20,6 @@ from tightpath.monitor import (
     StoppingConfig,
     default_c_ladder,
     forbidden_counts,
-    update_degrees,
 )
 from tightpath.pathfinder import PathFinder, retreat
 
@@ -172,7 +171,8 @@ def test_degree_tracker_handedness_identity():
     """Each j-set touches j singletons, so singleton degrees sum to j * count."""
     tr = DegreeTracker(3)
     jsets = list(combinations(range(7), 3))[:20]
-    update_degrees(tr, jsets)
+    for jset in jsets:
+        tr.update(jset)
     assert tr.discovered_count == 20
     assert sum(tr.counts[1].values()) == 3 * 20
     assert sum(tr.counts[2].values()) == 3 * 20  # C(3,2) pairs per j-set
@@ -205,8 +205,8 @@ def test_forbidden_counts_after_one_extension():
     rec = finder.stack[-1]
     x = next(v for v in range(8) if v not in rec.jset)
     K = tuple(sorted(rec.jset + (x,)))
-    finder._extend(rec, (x,), K)
-    finder._activate(rec, K)
+    finder._extend(rec, K)
+    finder._activate()
     fc = forbidden_counts(finder)
     # one path vertex outside the new top j-set blocks exactly one candidate
     assert fc.f1 == 1
@@ -219,8 +219,8 @@ def test_forbidden_counts_sees_explored_blockers():
     rec = finder.stack[-1]
     x = next(v for v in range(8) if v not in rec.jset)
     K = tuple(sorted(rec.jset + (x,)))
-    finder._extend(rec, (x,), K)
-    finder._activate(rec, K)
+    finder._extend(rec, K)
+    finder._activate()
     assert finder._scan(finder.stack[-1]) == ("exhausted",)
     retreat(finder)  # successor explored, edge removed, back at the start j-set
     fc = forbidden_counts(finder)

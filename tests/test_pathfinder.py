@@ -64,59 +64,46 @@ def generic_modes(monkeypatch):
 
 
 def test_activate_batch_overlap_one_below_k():
-    # k=3, j=2: one successor, the last j vertices of K
+    # k=3, j=2: one successor, the last j vertices of K = (1, 2, 7)
     finder = PathFinder(empty_H(10), j=2)
-    members = activate_batch(finder, (1, 2), ((1,), (2,)), (1, 2, 7))
-    assert members == [((2, 7), ((2,), (7,)))]
+    members = activate_batch(finder.params, [[1], [2], [7]])
+    assert members == [(2, 7)]
 
 
 def test_activate_batch_single_part():
     # k=5, j=2 has r=0: successors are the a-subsets of the fresh vertices
     finder = PathFinder(empty_H(10, k=5), j=2)
-    members = activate_batch(finder, (0, 1), ((0, 1),), (0, 1, 4, 6, 8))
-    assert members == [
-        ((4, 6), ((4, 6),)),
-        ((4, 8), ((4, 8),)),
-        ((6, 8), ((6, 8),)),
-    ]
+    members = activate_batch(finder.params, [[0, 1], [8, 4, 6]])
+    assert members == [(4, 6), (4, 8), (6, 8)]
     assert len(members) == finder.params.batch_size
 
 
 def test_activate_batch_multi_part():
     # k=5, j=3: Z ranges over 1-subsets of the old C1, X moves to the tail
     finder = PathFinder(empty_H(12, k=5), j=3)
-    members = activate_batch(finder, (0, 1, 2), ((0,), (1, 2)), (0, 1, 2, 5, 9))
-    assert members == [
-        ((1, 5, 9), ((1,), (5, 9))),
-        ((2, 5, 9), ((2,), (5, 9))),
-    ]
-
-
-def test_activate_batch_rejects_bad_extension():
-    finder = PathFinder(empty_H(10), j=2)
-    with pytest.raises(ValueError):
-        activate_batch(finder, (1, 2), ((1,), (2,)), (1, 3, 7))  # J not inside K
-    with pytest.raises(ValueError):
-        activate_batch(finder, (1, 2), ((1,), (2,)), (1, 2, 6, 7))  # too many fresh
+    members = activate_batch(finder.params, [[0], [1, 2], [5, 9]])
+    assert members == [(1, 5, 9), (2, 5, 9)]
 
 
 def test_activate_batch_partition_shapes():
+    """Extending a new start's blocks by one edge gives a batch of j-sets,
+    each a vertices of the new start's second part (of X for r = 0) joined
+    with the rest of K, and the path's blocks then partition it as every
+    active j-set's partition: a vertices in block 1, then blocks 2..r+1."""
     for k, j in [(3, 2), (4, 2), (5, 2), (5, 3), (7, 4), (6, 2)]:
-        H = empty_H(3 * k, k=k)
-        finder = PathFinder(H, j=j)
+        finder = PathFinder(empty_H(3 * k, k=k), j=j)
         p = finder.params
         jset = tuple(range(j))
-        partition = (jset[: p.a],) + tuple(
-            jset[p.a + i * (k - j): p.a + (i + 1) * (k - j)] for i in range(p.r)
-        )
-        K = tuple(range(j)) + tuple(range(k, k + (k - j)))
-        members = activate_batch(finder, jset, partition, tuple(sorted(K)))
-        assert len(members) == p.batch_size
-        for js, parts in members:
-            assert len(js) == j
-            assert js == tuple(sorted(v for part in parts for v in part))
-            assert len(parts[0]) == p.a
-            assert all(len(q) == k - j for q in parts[1:])
+        finder._reset_path(jset)
+        K = jset + tuple(range(k, k + (k - j)))
+        finder._extend(ActiveRecord(jset, 0), K)
+        members = activate_batch(p, finder.blocks)
+        assert len(members) == p.batch_size == len(set(members))
+        assert members == sorted(members)
+        for js in members:
+            assert len(js) == j and set(js) <= set(K)
+            assert len(set(js) & set(finder.blocks[1])) == p.a
+            assert set(js) - set(finder.blocks[1]) == {v for b in finder.blocks[2:] for v in b}
 
 
 # -- candidate inspection ----------------------------------------------------
@@ -137,7 +124,7 @@ def test_allowed_candidates_q4_blocks():
     outside = [x for x in range(6) if x not in J]
     dead = outside[0]
     # explore (J[0], dead) as the search does, so the explored-by index files it too
-    finder.stack.append(ActiveRecord(tuple(sorted((J[0], dead))), None, 0))
+    finder.stack.append(ActiveRecord(tuple(sorted((J[0], dead))), 0))
     finder._explore_top()
     assert set(allowed_candidates(finder)) == {(x,) for x in outside[1:]}
 
@@ -171,16 +158,16 @@ def walk(finder):
 
 
 def brute_order(finder):
-    """Every X disjoint from the path whose K = J u X holds no explored j-set,
-    sorted by (priority, K), built from the definitions."""
+    """(priority, K) for every X disjoint from the path whose K = J u X holds
+    no explored j-set, sorted, built from the definitions."""
     J = finder.stack[-1].jset
     ent = []
     for X in combinations(range(finder.n), finder.d):
         K = tuple(sorted(J + X))
         if not finder.in_path[list(X)].any() and not any(
                 set(E) <= set(K) for E in finder.explored):
-            ent.append((chain64(finder.sigk_key, K), K, X))
-    return sorted(ent, key=lambda e: (e[0], e[1]))
+            ent.append((chain64(finder.sigk_key, K), K))
+    return sorted(ent)
 
 
 def test_scalar_order_hashes_only_live_candidates(monkeypatch):
@@ -209,7 +196,8 @@ def test_scalar_order_hashes_only_live_candidates(monkeypatch):
             # still queryable: every live candidate past the last one queried
             last = a.stack[-1].cursor
             assert last == c.stack[-1].cursor
-            left = [X for h, K, X in want if last is None or (h, K) > last]
+            left = [tuple(v for v in K if v not in a.stack[-1].jset)
+                    for h, K in want if last is None or (h, K) > last]
             assert allowed_candidates(a) == allowed_candidates(c) == left
         assert pruned, (k, j)
 
@@ -254,8 +242,8 @@ def test_retreat_removes_the_edge_of_a_spent_batch():
     rec = finder.stack[-1]
     X = tuple(v for v in range(8) if v not in rec.jset)[:1]
     K = tuple(sorted(rec.jset + X))
-    finder._extend(rec, X, K)
-    finder._activate(rec, K)
+    finder._extend(rec, K)
+    finder._activate()
     assert finder.ell == 1 and finder.edges == [K]
     top = finder.stack[-1]
     assert top.edge_index == 1
@@ -276,8 +264,8 @@ def test_edge_stays_until_the_last_batch_member_is_explored(k, j, mode):
     rec = finder.stack[-1]
     X = tuple(v for v in range(9) if v not in rec.jset)[: k - j]
     K = tuple(sorted(rec.jset + X))
-    finder._extend(rec, X, K)
-    finder._activate(rec, K)
+    finder._extend(rec, K)
+    finder._activate()
     batch = finder.stack[1:]
     assert len(batch) == finder.params.batch_size >= 2
     for left in range(len(batch) - 1, -1, -1):
@@ -638,7 +626,7 @@ def test_every_replay_matches_a_fresh_scan():
 
     def reference(finder, rec):
         later, gaps = [], [0]
-        for h, K, _ in finder._scalar_order(rec):
+        for h, K in finder._scalar_order(rec):
             if (h, K) <= rec.cursor:
                 continue
             if finder.H.query_edge(K):
@@ -705,11 +693,11 @@ def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
         for mode in ("auto", "checked"):
             f = PathFinder(H, len(J), seed=seed, mode=mode)
             f.in_path[[*J, 9]] = True
-            rec = ActiveRecord(J, None, 0)
+            rec = ActiveRecord(J, 0)
             f.stack = [rec]
             steps = [f._scan(rec)]
             for E in explore:
-                f.stack.append(ActiveRecord(E, None, 0))
+                f.stack.append(ActiveRecord(E, 0))
                 f._explore_top()
             f._q4_mask = lambda J, cands, q4=f._q4_mask: builds.append(J) or q4(J, cands)
             while steps[-1][0] == "success":
@@ -717,7 +705,7 @@ def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
             runs[mode] = steps
         assert runs["auto"] == runs["checked"]
         assert len(builds) == rebuilt
-        K, first = (0, 1, 2, 5), runs["auto"][0][2]
+        K, first = (0, 1, 2, 5), runs["auto"][0][1]
         beyond.add((chain64(f.sigk_key, K), K) > (chain64(f.sigk_key, first), first))
     assert True in beyond
 
@@ -1184,7 +1172,7 @@ def spy_bands(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [5, 64])
 @pytest.mark.parametrize("n, j", STREAM_SHAPES)
-def test_neutral_stream_small_reservoir_refresh(monkeypatch, n, j, chunk):
+def test_neutral_stream_small_bands_cover_the_universe_once(monkeypatch, n, j, chunk):
     """Bands about 3 rows wide, then 4x wider each, cover the universe once,
     with chunks full of rows outside the band being built; the pops are the
     brute (priority, J) order."""
@@ -1200,7 +1188,7 @@ def test_neutral_stream_small_reservoir_refresh(monkeypatch, n, j, chunk):
     assert len(sizes) > 1 and sum(sizes) == math.comb(n, j)
 
 
-def test_neutral_stream_reservoir_refresh(monkeypatch):
+def test_neutral_stream_crosses_into_the_next_band(monkeypatch):
     """C(2000,2) is far over BAND, so 10 000 pops cross from the first hash
     band into the next and keep the (priority, J) order across it."""
     from tightpath.hypergraph import unrank_colex
