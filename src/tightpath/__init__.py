@@ -2,7 +2,6 @@
 in binomial random k-uniform hypergraphs."""
 
 from .combinatorics import (
-    BoundCurve,
     JTightPath,
     ShortPathError,
     StructuralParams,
@@ -56,7 +55,6 @@ from .pathfinder import (
 )
 
 __all__ = [
-    "BoundCurve",
     "DegreeTracker",
     "ExplicitHypergraph",
     "ForbiddenCounters",

@@ -69,7 +69,7 @@ def cmd_bounds(args) -> int:
                                           omega=args.omega, delta=args.delta)
     print(f"p0={p0!r}")
     for name in sorted(curves):
-        print(f"{name}={curves[name].value!r}")
+        print(f"{name}={curves[name]!r}")
     return 0
 
 
@@ -156,15 +156,19 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    cfg = read_config(args.config) if args.config else {}
+    # keys naming sweep's own flags (out, summary) were merged into args
+    cfg = {k: v for k, v in cfg.items() if not hasattr(args, k)}
     if args.preset:
         if args.preset not in experiments.PRESETS:
             print(f"error: unknown preset {args.preset!r}; have "
                   f"{sorted(experiments.PRESETS)}", file=sys.stderr)
             return 1
+        if cfg:
+            raise ValueError(f"--preset {args.preset} runs its own sweep, "
+                             f"so the config keys {sorted(cfg)} would be ignored")
         spec = experiments.PRESETS[args.preset]
     elif args.config:
-        # keys naming sweep's own flags (out, summary) were merged into args
-        cfg = {k: v for k, v in read_config(args.config).items() if not hasattr(args, k)}
         spec = experiments.SweepSpec.from_config(cfg)
     else:
         print("error: sweep needs --preset or --config", file=sys.stderr)
@@ -209,7 +213,7 @@ def _verify_z(args) -> bool:
 
 def _verify_lazy_explicit(args) -> bool:
     n = 20 if args.n is None else args.n
-    trials, k, j = args.trials, args.k or 3, args.j or 2
+    trials, k, j = args.trials, 3 if args.k is None else args.k, 2 if args.j is None else args.j
     same = 0
     for t in range(trials):
         s = experiments.trial_seed(args.seed, 0, 0, t)
@@ -229,7 +233,7 @@ def _verify_lazy_explicit(args) -> bool:
 
 def _verify_oracle_bound(args) -> bool:
     n = min(10 if args.n is None else args.n, 12)
-    trials, k, j = args.trials, args.k or 3, args.j or 2
+    trials, k, j = args.trials, 3 if args.k is None else args.k, 2 if args.j is None else args.j
     good = 0
     for t in range(trials):
         s = experiments.trial_seed(args.seed, 1, 0, t)

@@ -15,7 +15,7 @@ without rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -147,15 +147,6 @@ SUPERCRITICAL_UPPER = "supercritical_upper"
 LOOSE_LOWER = "loose_lower"
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """One predicted length bound at a concrete parameter point."""
-
-    regime: str
-    value: float
-    params: dict = field(compare=False)
-
-
 def theorem_bounds(
     n: int,
     k: int,
@@ -163,7 +154,7 @@ def theorem_bounds(
     eps: float,
     omega: float | None = None,
     delta: float | None = None,
-) -> dict[str, BoundCurve]:
+) -> dict[str, float]:
     """All length-bound curves applicable at (n, k, j, eps).
 
     Subcritical curves (p = (1-eps)p0, need omega > 0):
@@ -179,36 +170,23 @@ def theorem_bounds(
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     structural_params(k, j)
-    curves: dict[str, BoundCurve] = {}
-    base = {"n": n, "k": k, "j": j, "eps": eps}
+    curves: dict[str, float] = {}
 
     if omega is not None:
         if omega <= 0:
             raise ValueError(f"omega must be > 0, got {omega}")
         rate = -math.log1p(-eps)
-        prm = dict(base, omega=omega)
-        curves[SUBCRITICAL_LOWER] = BoundCurve(
-            SUBCRITICAL_LOWER, (j * math.log(n) - omega + 3 * math.log(eps)) / rate, prm
-        )
-        curves[SUBCRITICAL_UPPER] = BoundCurve(
-            SUBCRITICAL_UPPER, (j * math.log(n) + omega) / rate, prm
-        )
+        curves[SUBCRITICAL_LOWER] = (j * math.log(n) - omega + 3 * math.log(eps)) / rate
+        curves[SUBCRITICAL_UPPER] = (j * math.log(n) + omega) / rate
 
     if delta is not None:
         if delta <= 0:
             raise ValueError(f"delta must be > 0, got {delta}")
-        prm = dict(base, delta=delta)
         if j >= 2:
-            curves[SUPERCRITICAL_LOWER] = BoundCurve(
-                SUPERCRITICAL_LOWER, (1 - delta) * eps * n / (k - j) ** 2, prm
-            )
-        curves[SUPERCRITICAL_UPPER] = BoundCurve(
-            SUPERCRITICAL_UPPER, (1 + delta) * 2 * eps * n / (k - j) ** 2, prm
-        )
+            curves[SUPERCRITICAL_LOWER] = (1 - delta) * eps * n / (k - j) ** 2
+        curves[SUPERCRITICAL_UPPER] = (1 + delta) * 2 * eps * n / (k - j) ** 2
         if j == 1:
-            curves[LOOSE_LOWER] = BoundCurve(
-                LOOSE_LOWER, (1 - delta) * eps**2 * n / (4 * (k - 1) ** 2), prm
-            )
+            curves[LOOSE_LOWER] = (1 - delta) * eps**2 * n / (4 * (k - 1) ** 2)
     return curves
 
 

@@ -252,10 +252,10 @@ def group_bounds(n: int, k: int, j: int, eps: float, omega: float, delta: float)
     """(lower, upper) curve values for one (n, eps) group; eps is signed."""
     if eps < 0:
         curves = theorem_bounds(n, k, j, -eps, omega=omega)
-        return curves[SUBCRITICAL_LOWER].value, curves[SUBCRITICAL_UPPER].value
+        return curves[SUBCRITICAL_LOWER], curves[SUBCRITICAL_UPPER]
     curves = theorem_bounds(n, k, j, eps, delta=delta)
-    lower = curves[LOOSE_LOWER].value if j == 1 else curves[SUPERCRITICAL_LOWER].value
-    return lower, curves[SUPERCRITICAL_UPPER].value
+    lower = curves[LOOSE_LOWER] if j == 1 else curves[SUPERCRITICAL_LOWER]
+    return lower, curves[SUPERCRITICAL_UPPER]
 
 
 def aggregate(records: Sequence[TrialRecord], omega: float = 6.0, delta: float = 0.5,

@@ -7,6 +7,10 @@ keyed coin on first query, realizing H^k(n,p) under the search's guarantee
 that no k-set is queried twice. Both use the same coin function, so a run on
 either backend with equal seeds sees identical edges.
 
+select_subsets is the one walk that hashes every m-subset of [n] and keeps
+those whose hash passes a test: generate_explicit keeps the k-sets whose coin
+lands, and the search's neutral j-set stream one hash band.
+
 Also provides a rank-sampling generator for instances whose k-set space is
 too large to enumerate but whose edge list is small (sparse subcritical
 measurements); its instances are not coin-compatible with the lazy backend.
@@ -34,6 +38,7 @@ from ._rng import (
 )
 
 ENUMERATION_BUDGET = 10**8
+CHUNK = 1 << 20  # most rows select_subsets hashes at a time
 MATERIALIZE_CAP = 5 * 10**7  # most edges sample_explicit will draw
 
 
@@ -58,28 +63,18 @@ def _check_canonical(K: Sequence[int], k: int, n: int) -> None:
     raise ValueError(f"vertex set must be strictly increasing: {K}")
 
 
-def colex_tables(n: int, m: int) -> list[np.ndarray]:
-    """tables[i][c] = C(c, i+1) for c in [0, n], used to unrank m-sets."""
-    out = []
-    for i in range(1, m + 1):
-        col = np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)
-        out.append(col)
-    return out
-
-
-def unrank_colex(ranks: np.ndarray, m: int, n: int, tables=None) -> np.ndarray:
+def unrank_colex(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
     """Map colex ranks to sorted m-sets over [0, n); returns shape (len, m).
 
     The m-set {c_1 < ... < c_m} has colex rank sum_i C(c_i, i).
     """
-    if tables is None:
-        tables = colex_tables(n, m)
     rem = np.asarray(ranks, dtype=np.int64).copy()
     cols = np.empty((rem.shape[0], m), dtype=np.int64)
     for i in range(m, 0, -1):
-        c = np.searchsorted(tables[i - 1], rem, side="right") - 1
+        table = np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)  # C(c, i)
+        c = np.searchsorted(table, rem, side="right") - 1
         cols[:, i - 1] = c
-        rem -= tables[i - 1][c]
+        rem -= table[c]
     return cols
 
 
@@ -121,6 +116,52 @@ def subset_cols(xs: np.ndarray, d: int) -> list[np.ndarray]:
             lo += size
         cols = nxt
     return cols
+
+
+def _chunks(lens: list[int]):
+    """(first index, [(u, a, b)]) per chunk of at most CHUNK rows, in
+    lexicographic order: rows a..b-1 of the run of first vertex u."""
+    lo, size, segs = 0, 0, []
+    for u, run in enumerate(lens):
+        a = 0
+        while a < run:
+            b = min(run, a + CHUNK - size)
+            segs.append((u, a, b))
+            size, a = size + b - a, b
+            if size == CHUNK:
+                yield lo, segs
+                lo, size, segs = lo + size, 0, []
+    if segs:
+        yield lo, segs
+
+
+def select_subsets(key: int, n: int, m: int, keep) -> tuple[np.ndarray, np.ndarray]:
+    """(h, rows) of the m-subsets J of range(n) whose h = chain64(key, J)
+    passes ``keep``, a map from a uint64 hash array to a bool mask; rows is
+    an (len, m) int64 array in lexicographic order, h its hashes.
+
+    The walk hashes every m-subset in lexicographic order, at most CHUNK rows
+    at a time. The m-subsets that start at vertex u are u followed by the last
+    C(n-1-u, m-1) rows of the lexicographic (m-1)-subset table of range(n), so
+    each row hashes as that tail against the prefix state chain64(key, (u,)),
+    computed once per u. Only the kept rows are built.
+    """
+    tails = subset_cols(np.arange(n), m - 1) if m > 1 else []
+    end = math.comb(n, m - 1)  # rows of the tail table
+    lens = _run_lens(n, m)  # rows that start at u = 0, 1, ..., n-m
+    pre = chain64_np(key, [np.arange(len(lens))])
+    kept = []
+    for first, segs in _chunks(lens):
+        h = np.repeat(pre[[u for u, _, _ in segs]], [b - a for _, a, b in segs])
+        if tails:
+            h = chain64_np(h, [np.concatenate([col[end - lens[u] + a : end - lens[u] + b]
+                                               for u, a, b in segs]) for col in tails])
+        sel = np.flatnonzero(keep(h))
+        kept.append((h[sel], first + sel))
+    h, idx = map(np.concatenate, zip(*kept))
+    ends = np.cumsum(lens, dtype=np.int64)
+    u = np.searchsorted(ends, idx, side="right")
+    return h, np.column_stack([u] + [col[end - ends[u] + idx] for col in tails])
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +404,7 @@ class LazyHypergraph:
 def generate_explicit(
     n: int, k: int, p: float, seed: int, budget: int = ENUMERATION_BUDGET
 ) -> ExplicitHypergraph:
-    """Materialize H^k(n,p) by flipping the keyed coin for every k-set.
+    """Materialize H^k(n,p) by flipping LazyHypergraph's coin for every k-set.
 
     Refuses when C(n,k) exceeds the enumeration budget; large sparse
     instances should use LazyHypergraph or sample_explicit instead.
@@ -374,19 +415,8 @@ def generate_explicit(
             f"C({n},{k}) = {total} exceeds the enumeration budget {budget}; "
             "use the lazy backend"
         )
-    edge_key = derive_key(seed, "edge-coin")
-    threshold = coin_threshold(p)
-    tables = colex_tables(n, k)
-    edges: list[np.ndarray] = []
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        ranks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols_mat = unrank_colex(ranks, k, n, tables)
-        cols = [cols_mat[:, i] for i in range(k)]
-        mask = coin_mask_np(chain64_np(edge_key, cols), threshold)
-        if mask.any():
-            edges.append(cols_mat[mask])
-    rows = np.concatenate(edges) if edges else np.empty((0, k), dtype=np.int64)
+    H = LazyHypergraph(n, k, p, seed)
+    _, rows = select_subsets(H.edge_key, n, k, lambda h: coin_mask_np(h, H.threshold))
     return ExplicitHypergraph(n, k, rows)
 
 

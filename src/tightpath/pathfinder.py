@@ -94,16 +94,16 @@ from typing import Optional
 
 import numpy as np
 
+# chain64_np is unused here, but perfbench/tracing.py patches it in this module
 from ._rng import MASK64, chain64, chain64_np, derive_key
 from .combinatorics import JTightPath, StructuralParams, structural_params
-from .hypergraph import Candidates, _run_lens, pack_rows, subset_cols
+from .hypergraph import Candidates, pack_rows, select_subsets
 from .monitor import EXHAUSTED, Monitor, StoppingConfig
 
 TRACE_LEVELS = ("summary", "events", "full")
 MODES = ("auto", "checked")
 
 BAND = 8192
-CHUNK = 1 << 20
 
 
 class ActiveRecord:
@@ -158,12 +158,8 @@ class _NeutralStream:
     The j-sets with h in [lo, hi) are a contiguous run of that order. The
     first band is BAND/C(n, j) of the hash range wide, so a universe of at
     most BAND j-sets is one band; each next band starts where the last ended
-    and is 4x wider, so no j-set is yielded twice. A build walks the j-sets
-    in lexicographic order, in chunks of at most CHUNK rows. The j-sets that
-    start at vertex u are u followed by the last C(n-1-u, j-1) rows of the
-    lexicographic (j-1)-subset table of range(n), so each row hashes as that
-    tail against the prefix state chain64(key, (u,)), computed once per u.
-    Only the band's lexicographic indices are mapped back to vertex rows.
+    and is 4x wider, so no j-set is yielded twice. A build is one
+    ``hypergraph.select_subsets`` walk that keeps the band's j-sets.
     """
 
     def __init__(self, n: int, j: int, key: int, discovered: set):
@@ -173,47 +169,14 @@ class _NeutralStream:
         self._hi = 0
         self._rows = self._band()
 
-    @staticmethod
-    def _chunks(lens: list[int]):
-        """(first index, [(u, a, b)]) per chunk of at most CHUNK rows, in
-        lexicographic order: rows a..b-1 of the run of first vertex u."""
-        lo, size, segs = 0, 0, []
-        for u, run in enumerate(lens):
-            a = 0
-            while a < run:
-                b = min(run, a + CHUNK - size)
-                segs.append((u, a, b))
-                size, a = size + b - a, b
-                if size == CHUNK:
-                    yield lo, segs
-                    lo, size, segs = lo + size, 0, []
-        if segs:
-            yield lo, segs
-
     def _band(self):
         """An iterator over the next band's j-sets, in (h, J) order."""
         lo, self._hi = self._hi, min(self._hi + self._width, 1 << 64)
         self._width *= 4
-        tails = subset_cols(np.arange(self.n), self.j - 1) if self.j > 1 else []
-        end = math.comb(self.n, self.j - 1)  # rows of the tail table
-        lens = _run_lens(self.n, self.j)  # rows that start at u = 0, 1, ..., n-j
-        pre = chain64_np(self.key, [np.arange(len(lens))])
         low, top = np.uint64(lo), np.uint64(self._hi - 1)  # hi can be 2^64
-        keep = []
-        for first, segs in self._chunks(lens):
-            h = np.repeat(pre[[u for u, _, _ in segs]], [b - a for _, a, b in segs])
-            if tails:
-                h = chain64_np(h, [np.concatenate([col[end - lens[u] + a : end - lens[u] + b]
-                                                   for u, a, b in segs]) for col in tails])
-            sel = np.flatnonzero((h >= low) & (h <= top))
-            keep.append((h[sel], first + sel))
-        h, idx = map(np.concatenate, zip(*keep))
-        # lexicographic index order is row order, so it breaks hash ties as J does
-        idx = idx[np.lexsort((idx, h))]
-        ends = np.cumsum(lens, dtype=np.int64)
-        u = np.searchsorted(ends, idx, side="right")
-        rows = [u] + [col[end - ends[u] + idx] for col in tails]
-        return map(tuple, np.column_stack(rows).tolist())
+        h, rows = select_subsets(self.key, self.n, self.j, lambda h: (h >= low) & (h <= top))
+        # the rows are in lexicographic order, so a stable sort breaks hash ties as J does
+        return map(tuple, rows[np.argsort(h, kind="stable")].tolist())
 
     def pop(self) -> Optional[tuple]:
         while True:

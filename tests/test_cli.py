@@ -39,12 +39,13 @@ def test_z_output(capsys):
 
 def test_bounds_output(capsys):
     code, out, _ = run_cli(capsys, "bounds", "-k", "3", "-j", "2", "-n", "100",
-                           "--eps", "0.2")
+                           "--eps", "0.2", "--omega", "6", "--delta", "0.5")
     assert code == 0
-    vals = summary_dict(out)
-    assert vals["p0"] == repr(threshold_p0(100, 3, 2))
-    for name, curve in theorem_bounds(100, 3, 2, 0.2).items():
-        assert vals[name] == repr(curve.value)
+    vals = dict(line.rsplit("=", 1) for line in out.splitlines())  # a name may hold "="
+    assert vals.pop("p0") == repr(threshold_p0(100, 3, 2))
+    curves = theorem_bounds(100, 3, 2, 0.2, omega=6.0, delta=0.5)
+    assert len(curves) == 4
+    assert vals == {name: repr(value) for name, value in curves.items()}
 
 
 def test_bounds_rejects_bad_eps(capsys):
@@ -324,6 +325,16 @@ def test_sweep_unknown_preset(capsys):
     assert code == 1
 
 
+def test_sweep_preset_beside_config_sweep_keys_exits_1(tmp_path, capsys):
+    """A preset runs its own spec, so config keys that would set one are named
+    and refused rather than dropped."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("k=4\nj=2\nn=20\neps=0.3\n")
+    code, out, err = run_cli(capsys, "sweep", "--preset", "demo", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "'k'" in err and err.count("\n") == 1
+
+
 def test_sweep_jobs_below_1_exit_1(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("k=3\nj=2\nn=20\neps=0.3\ntrials=2\n")
@@ -345,6 +356,15 @@ def test_verify_suites_small(capsys):
                            "-n", "10", "--trials", "5")
     assert code == 0
     assert "5/5 runs within the exact optimum" in out
+
+
+def test_verify_rejects_zero_k_and_j(capsys):
+    """-k 0 and -j 0 are bad values, not requests for the defaults 3 and 2."""
+    for suite in ("lazy-explicit", "oracle-bound"):
+        for flags in (("-k", "0", "-j", "0"), ("-j", "0")):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "2", *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ")
 
 
 def test_missing_required_values(capsys):

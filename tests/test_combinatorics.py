@@ -160,14 +160,14 @@ def test_theorem_bounds_known_points():
     n = math.exp(10.0)
     eps = 1 - math.exp(-1.0)  # -ln(1-eps) = 1
     curves = theorem_bounds(n, 3, 2, eps, omega=2.0)
-    assert curves[SUBCRITICAL_UPPER].value == pytest.approx(22.0, rel=1e-12)
+    assert curves[SUBCRITICAL_UPPER] == pytest.approx(22.0, rel=1e-12)
 
     curves = theorem_bounds(10**4, 3, 2, 0.2, delta=0.5)
-    assert curves[SUPERCRITICAL_LOWER].value == pytest.approx(1000.0, rel=1e-12)
-    assert curves[SUPERCRITICAL_UPPER].value == pytest.approx(6000.0, rel=1e-12)
+    assert curves[SUPERCRITICAL_LOWER] == pytest.approx(1000.0, rel=1e-12)
+    assert curves[SUPERCRITICAL_UPPER] == pytest.approx(6000.0, rel=1e-12)
 
     curves = theorem_bounds(2000, 3, 1, 0.4, delta=0.5)
-    assert curves[LOOSE_LOWER].value == pytest.approx(10.0, rel=1e-12)
+    assert curves[LOOSE_LOWER] == pytest.approx(10.0, rel=1e-12)
     assert SUPERCRITICAL_LOWER not in curves
 
 
@@ -179,8 +179,8 @@ def test_theorem_bounds_regime_gating():
         SUPERCRITICAL_LOWER,
         SUPERCRITICAL_UPPER,
     }
-    assert both[SUBCRITICAL_LOWER].value <= both[SUBCRITICAL_UPPER].value
-    assert both[SUPERCRITICAL_LOWER].value <= both[SUPERCRITICAL_UPPER].value
+    assert both[SUBCRITICAL_LOWER] <= both[SUBCRITICAL_UPPER]
+    assert both[SUPERCRITICAL_LOWER] <= both[SUPERCRITICAL_UPPER]
     assert theorem_bounds(1000, 3, 2, 0.3) == {}
     with pytest.raises(ValueError):
         theorem_bounds(1000, 3, 2, 1.2, delta=0.5)

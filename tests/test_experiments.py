@@ -288,16 +288,16 @@ def test_aggregate_uses_the_bound_curves():
     lower, upper = group_bounds(100, 3, 2, 0.2, omega=6.0, delta=0.5)
     assert (row["lower"], row["upper"]) == (lower, upper)
     curves = theorem_bounds(100, 3, 2, 0.2, delta=0.5)
-    assert lower == curves[SUPERCRITICAL_LOWER].value
-    assert upper == curves[SUPERCRITICAL_UPPER].value
+    assert lower == curves[SUPERCRITICAL_LOWER]
+    assert upper == curves[SUPERCRITICAL_UPPER]
 
 
 def test_group_bounds_signed_eps():
     lower, upper = group_bounds(100, 3, 2, -0.3, omega=6.0, delta=0.5)
     curves = theorem_bounds(100, 3, 2, 0.3, omega=6.0)
-    assert (lower, upper) == (curves[SUBCRITICAL_LOWER].value, curves[SUBCRITICAL_UPPER].value)
+    assert (lower, upper) == (curves[SUBCRITICAL_LOWER], curves[SUBCRITICAL_UPPER])
     lower, _ = group_bounds(2000, 3, 1, 0.4, omega=6.0, delta=0.5)
-    assert lower == theorem_bounds(2000, 3, 1, 0.4, delta=0.5)[LOOSE_LOWER].value
+    assert lower == theorem_bounds(2000, 3, 1, 0.4, delta=0.5)[LOOSE_LOWER]
 
 
 def test_aggregate_all_censored_group_is_nan():

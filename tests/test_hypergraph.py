@@ -21,7 +21,6 @@ from tightpath.hypergraph import (
     _binom_quantile,
     _sampled_edge_count,
     canonical_kset,
-    colex_tables,
     generate_explicit,
     pack_rows,
     sample_explicit,
@@ -215,9 +214,23 @@ def test_unrank_colex_orders_by_reversed_tuple():
     # rank identity: rank(S) = sum_i C(c_i, i), 1-indexed positions
     for r, S in enumerate(expected):
         assert r == sum(math.comb(c, i + 1) for i, c in enumerate(S))
-    tables = colex_tables(n, m)
-    again = unrank_colex(np.arange(math.comb(n, m)), m, n, tables)
-    assert (again == got).all()
+
+
+@pytest.mark.parametrize("chunk", [5, 64, None])
+@pytest.mark.parametrize("n, k", [(13, 2), (13, 3), (10, 4), (9, 5)])
+def test_generate_explicit_chunks_keep_exactly_the_lazy_coins(monkeypatch, n, k, chunk):
+    """Vertex 0's run of C(n-1, k-1) k-sets is longer than a 5-row chunk, and
+    for k >= 3 than a 64-row one too: chunk edges inside a run, across runs,
+    and at the default size keep exactly the k-sets whose lazy coin lands."""
+    import tightpath.hypergraph as hg
+
+    if chunk is not None:
+        monkeypatch.setattr(hg, "CHUNK", chunk)
+    for seed in range(3):
+        lazy = LazyHypergraph(n, k, 0.3, seed=seed)
+        expected = [K for K in all_ksets(n, k) if lazy.query_edge(K)]
+        assert generate_explicit(n, k, 0.3, seed=seed).edge_array().tolist() == \
+            [list(K) for K in expected]
 
 
 def test_generate_explicit_budget_guard():

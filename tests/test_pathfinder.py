@@ -695,13 +695,15 @@ def test_replayed_kills_match_the_checked_scan(J, edges, explore, rebuilt):
             f.in_path[[*J, 9]] = True
             rec = ActiveRecord(J, 0)
             f.stack = [rec]
-            steps = [f._scan(rec)]
+            res = f._scan(rec)
+            steps = [res]
             for E in explore:
                 f.stack.append(ActiveRecord(E, 0))
                 f._explore_top()
             f._q4_mask = lambda J, cands, q4=f._q4_mask: builds.append(J) or q4(J, cands)
-            while steps[-1][0] == "success":
-                steps.append((f._scan(rec), f.t, rec.cursor))
+            while res[0] == "success":  # until J is exhausted
+                res = f._scan(rec)
+                steps.append((res, f.t, rec.cursor))
             runs[mode] = steps
         assert runs["auto"] == runs["checked"]
         assert len(builds) == rebuilt
@@ -1137,10 +1139,10 @@ def test_neutral_stream_matches_brute_order(monkeypatch, n, j, chunk):
     """Chunk edges inside first-vertex runs, across them, and a run longer
     than a chunk change nothing: the stream is the brute (priority, J) order,
     and no chunk hashes more than CHUNK rows."""
-    import tightpath.pathfinder as pf
+    import tightpath.hypergraph as hg
 
     if chunk is not None:
-        monkeypatch.setattr(pf, "CHUNK", chunk)
+        monkeypatch.setattr(hg, "CHUNK", chunk)
     chunk_rows = []
 
     def spy(key, cols):
@@ -1148,11 +1150,11 @@ def test_neutral_stream_matches_brute_order(monkeypatch, n, j, chunk):
             chunk_rows.append(np.size(key))
         return chain64_np(key, cols)
 
-    monkeypatch.setattr(pf, "chain64_np", spy)
+    monkeypatch.setattr(hg, "chain64_np", spy)
     for seed in (1, 2, 3):
         key = derive_key(seed, "sigma-j")
         assert pop_all(_NeutralStream(n, j, key, set())) == brute_priority(n, j, key)
-    assert max(chunk_rows, default=0) <= pf.CHUNK
+    assert max(chunk_rows, default=0) <= hg.CHUNK
     assert sum(chunk_rows) == (3 * math.comb(n, j) if j > 1 else 0)
 
 
@@ -1176,10 +1178,11 @@ def test_neutral_stream_small_bands_cover_the_universe_once(monkeypatch, n, j, c
     """Bands about 3 rows wide, then 4x wider each, cover the universe once,
     with chunks full of rows outside the band being built; the pops are the
     brute (priority, J) order."""
+    import tightpath.hypergraph as hg
     import tightpath.pathfinder as pf
 
     monkeypatch.setattr(pf, "BAND", 3)
-    monkeypatch.setattr(pf, "CHUNK", chunk)
+    monkeypatch.setattr(hg, "CHUNK", chunk)
     sizes = spy_bands(monkeypatch)
     key = derive_key(8, "sigma-j")
     stream = _NeutralStream(n, j, key, set())
