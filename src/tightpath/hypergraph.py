@@ -16,7 +16,8 @@ too large to enumerate but whose edge list is small (sparse subcritical
 measurements); its instances are not coin-compatible with the lazy backend.
 And it provides Candidates, the k-sets J u X a search step queries from one
 j-set J, laid out so that their coins and priorities hash shared prefixes
-once; the lazy backend's bulk_query takes one.
+once and the rows under each prefix in cache-sized slices; the lazy backend's
+bulk_query takes one and keeps only the coin mask.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ import math
 import operator
 from bisect import bisect_right
 from collections import abc
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._rng import (
-    MASK64, _mix64_inplace, chain64, chain64_np, check_probability, coin_mask_np,
+    BLOCK, MASK64, _mix64_inplace, chain64, chain64_np, check_probability, coin_mask_np,
     coin_threshold, derive_key, mix64,
 )
 
@@ -97,6 +98,17 @@ def _run_lens(m: int, r: int) -> list[int]:
     for i in range(r - 1):  # C(q, i+1) = C(q, i) (q-i) / (i+1), exactly
         lens = lens * (q - i) // (i + 1)
     return lens.tolist()
+
+
+def _unrank_lex(m: int, r: int, i: int) -> list[int]:
+    """Positions in range(m) of the i-th r-subset of range(m), lexicographic.
+    Its mirror image {m-1-b} has colex rank C(m, r)-1-i, unranked greedily."""
+    rank, out = math.comb(m, r) - 1 - i, []
+    for q in range(r, 0, -1):  # C(v, 1) = v
+        v = rank if q == 1 else bisect_right(range(m), rank, key=lambda v: math.comb(v, q)) - 1
+        rank -= math.comb(v, q)
+        out.append(m - 1 - v)
+    return out
 
 
 def subset_cols(xs: np.ndarray, d: int) -> list[np.ndarray]:
@@ -170,6 +182,37 @@ def _compositions(d: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(c for c in product(range(d, -1, -1), repeat=parts) if sum(c) == d)
 
 
+def _whole_runs(pre: np.ndarray, g: np.ndarray, dst: np.ndarray):
+    """(slice of dst, states, values) per slice of about BLOCK rows of the
+    runs states[p] x G, g the gap's values plus one: a 2-D broadcast of the
+    states against g. A slice holds whole runs unless one is longer than BLOCK."""
+    rows = dst.reshape(pre.size, g.size)
+    pstep, xstep = max(1, BLOCK // g.size), min(g.size, BLOCK)
+    for p in range(0, pre.size, pstep):
+        for x in range(0, g.size, xstep):
+            yield rows[p : p + pstep, x : x + xstep], pre[p : p + pstep, None], g[None, x : x + xstep]
+
+
+def _ragged_runs(pre: np.ndarray, g: np.ndarray, starts: np.ndarray, dst: np.ndarray,
+                 tmp: np.ndarray):
+    """(slice of dst, states, values) per slice of BLOCK rows of the runs
+    states[p] x G[starts[p]:], g the gap's values plus one; a run may cross
+    slices. Row r of run p reads g at r + g.size - ends[p], ends the runs'
+    cumulative lengths, so a slice repeats its runs' states and gathers its
+    values from g into tmp."""
+    ends = np.cumsum(g.size - starts)
+    ar = np.arange(g.size, g.size + min(BLOCK, dst.size))
+    for r0 in range(0, dst.size, BLOCK):
+        r1 = min(r0 + BLOCK, dst.size)
+        p0, p1 = np.searchsorted(ends, [r0, r1 - 1], side="right").tolist()
+        lens = np.diff(np.minimum(ends[p0 : p1 + 1], r1), prepend=r0)
+        idx = np.repeat(r0 - ends[p0 : p1 + 1], lens)
+        idx += ar[: r1 - r0]
+        # take into a given array, unlike g[idx], allocates nothing
+        yield dst[r0:r1], np.repeat(pre[p0 : p1 + 1], lens), np.take(g, idx, out=tmp[: r1 - r0],
+                                                                      mode="clip")
+
+
 class Candidates(abc.Sequence):
     """Every K = sorted(J u X) for a j-set J and X over the d-subsets of the
     increasing free vertices xs (d >= 1, xs disjoint from J), in blocks.
@@ -182,12 +225,22 @@ class Candidates(abc.Sequence):
 
     As a sequence it is K's k columns, of xs's dtype, in block order, each
     built on first use; ``xcols()`` lists X's d columns, built the same way,
-    and ``row(i)`` one row's K. ``hash(key)`` is chain64(key, K) of every
-    row, bit for bit, without building K: each prefix state is hashed at the
-    coarsest level where it is constant. J's vertices ahead of
-    a block's first X vertex are hashed once per block, a gap table's first
-    column once per run of equal values, and each later gap as a broadcast
-    axis of an outer product.
+    and ``row(i)`` one row's K, unranked arithmetically from i.
+
+    ``hash(key)`` is chain64(key, K) of every row, bit for bit, without
+    building K. With d = 1 it is one pass over xs. With d >= 2, a block's
+    rows are runs: every row of a run shares K up to its last X vertex,
+    which takes the values of a suffix of one gap G_t, and then J's
+    vertices after G_t. Each run's prefix state is hashed once, at the
+    coarsest level where it is constant (J's vertices ahead of the first X
+    vertex once per block, a gap table's first column once per run of equal
+    values, each later gap as a broadcast axis of an outer product); only
+    d >= 3 builds a subset table, of the prefixes. The rows are then hashed
+    in slices of about ``BLOCK``, straight into the output: a 2-D broadcast
+    of states against G_t where each run takes all of it, a repeat of the
+    states and a gather from G_t where the runs are ragged. ``hash(key,
+    keep)`` applies keep to each slice and stores only the mask, one byte
+    per row; the lazy backend's coins use it.
     """
 
     def __init__(self, J: Sequence[int], xs: np.ndarray, d: int):
@@ -254,14 +307,21 @@ class Candidates(abc.Sequence):
         return self._cached(True, slice(None))
 
     def row(self, i: int) -> tuple:
-        """Row i's K."""
+        """Row i's K, unranked arithmetically: no gap table is built."""
         c, lo, sizes = self.blocks[bisect_right(self._starts, i) - 1]
         idx, r = [0] * len(sizes), i - lo
         for t in reversed(range(len(sizes))):
             r, idx[t] = divmod(r, sizes[t])
-        return tuple(int(e[1][idx[e[0]]]) if isinstance(e, tuple) else e for e in self._layout(c))
+        K = []
+        for t, (g, ct) in enumerate(zip(self.gaps, c)):
+            K += [int(g[b]) for b in _unrank_lex(g.size, ct, idx[t])] if ct else ()
+            K += self.J[t : t + 1]
+        return tuple(K)
 
-    def hash(self, key: int) -> np.ndarray:
+    def hash(self, key: int, keep=None) -> np.ndarray:
+        """chain64(key, K) of every row. Given ``keep``, a map from a uint64
+        array to a bool mask of its shape, it returns keep of those hashes
+        instead, applied slice by slice, so that only the mask is stored."""
         key = int(key) & MASK64
         if self.d == 1:
             # One pass over xs, each row keyed by its gap's prefix state, then
@@ -273,27 +333,56 @@ class Candidates(abc.Sequence):
             for u, below in zip(self.J, accumulate(g.size for g in self.gaps)):
                 h[:below] ^= np.uint64(u + 1)
                 _mix64_inplace(h[:below], tmp[:below])
-            return h
-        out = np.empty(self.nrows, dtype=np.uint64)
+            return h if keep is None else keep(h)
+        out = np.empty(self.nrows, dtype=np.uint64 if keep is None else bool)
+        tmp = np.empty(min(BLOCK, self.nrows), dtype=np.uint64)  # mix64 scratch
+        buf = None if keep is None else np.empty_like(tmp)  # a slice's hashes, for keep
         for c, lo, sizes in self.blocks:
-            out[lo : lo + math.prod(sizes)] = self._hash_block(key, c)
+            pre, t, starts = self._runs(key, c)
+            g = np.add(self.gaps[t], 1, dtype=np.uint64, casting="unsafe")  # x + 1 per x
+            us = [np.uint64(u + 1) for u in self.J[t:]]
+            dst = out[lo : lo + math.prod(sizes)]
+            for part, states, xs1 in (_whole_runs(pre, g, dst) if starts is None
+                                      else _ragged_runs(pre, g, starts, dst, tmp)):
+                h = part if keep is None else buf[: part.size].reshape(part.shape)
+                tb = tmp[: part.size].reshape(part.shape)
+                np.bitwise_xor(states, xs1, out=h)
+                _mix64_inplace(h, tb)
+                for u in us:
+                    h ^= u
+                    _mix64_inplace(h, tb)
+                if keep is not None:
+                    part[...] = keep(h)
         return out
 
-    def _hash_block(self, key: int, c) -> np.ndarray:
+    def _runs(self, key: int, c) -> tuple:
+        """Block c's rows as runs (states, t, starts): G_t is the last gap
+        holding an X vertex, and run p is the rows whose K up to its last X
+        vertex hashes to states[p]. That vertex takes the values G_t[starts[p]:]
+        in turn, all of G_t when starts is None, and J's vertices after G_t
+        follow it. The runs are in row order: the prefixes are the block's
+        rows with G_t's table cut to its first c_t - 1 columns over G_t[:-1]."""
         ts = [t for t, ct in enumerate(c) if ct]
-        h = chain64(key, self.J[: ts[0]])
+        h, last, inner = chain64(key, self.J[: ts[0]]), ts[-1], None
         for t, nxt in zip(ts, ts[1:] + [len(c)]):
-            # G_t's table, then J's vertices up to the next nonempty gap
-            tab, us = self._table(t, c[t]), list(self.J[t:nxt])
+            g, ct, us = self.gaps[t], c[t], list(self.J[t:nxt])
+            if t == last:  # every X vertex of G_t but the last, which has one after it
+                g, ct, us = g[:-1], ct - 1, []
+                if not ct:
+                    break
+            tab = [g] if ct == 1 else subset_cols(g, ct)  # one column is the gap itself
+            if t == last:
+                inner = np.searchsorted(self.gaps[t], tab[-1], side="right")
             if not isinstance(h, int):  # the rows so far times G_t's rows
                 h = chain64_np(h[:, None], [col[None, :] for col in tab] + us).ravel()
                 continue
             if len(tab) > 1:  # the first column once per run of equal values
-                lens = _run_lens(self.gaps[t].size, c[t])
-                h = np.repeat(chain64_np(h, [self.gaps[t][: len(lens)]]), lens)
+                lens = _run_lens(g.size, ct)
+                h = np.repeat(chain64_np(h, [g[: len(lens)]]), lens)
                 tab = tab[1:]
             h = chain64_np(h, tab + us)
-        return h
+        pre = np.array(h, dtype=np.uint64, ndmin=1)
+        return pre, last, None if inner is None else np.tile(inner, pre.size // inner.size)
 
 
 class ExplicitHypergraph:
@@ -397,8 +486,9 @@ class LazyHypergraph:
 
     def bulk_query(self, cands: Candidates) -> np.ndarray:
         """Coin mask of every K of a Candidates, in its row order. The coins
-        come from ``cands.hash``, so K's columns are never built."""
-        return coin_mask_np(cands.hash(self.edge_key), self.threshold)
+        come from ``cands.hash`` and only their mask is kept, so neither K's
+        columns nor a hash per row are stored."""
+        return cands.hash(self.edge_key, keep=partial(coin_mask_np, threshold=self.threshold))
 
 
 def generate_explicit(

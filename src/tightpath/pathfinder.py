@@ -43,8 +43,11 @@ against ``explored`` before it queries it. Auto mode runs one vectorized scan
 for every (k, j), observationally identical to the generic one at every trace
 level. It lays out every candidate of J at once as a ``hypergraph.Candidates``:
 the d-subsets of the free vertices around J's vertices, in blocks in which
-J's vertices sit at fixed positions of K, so a hash of every K reuses the
-prefix states its rows share instead of hashing k columns per row. It works
+J's vertices sit at fixed positions of K. Its rows are runs that share K up
+to the last X vertex, so a hash of every K reuses the prefix state of each
+run and hashes only that vertex and J's vertices after it per row, in
+cache-sized slices, instead of k columns per row; the edge coins keep only
+their mask. It works
 in this order: Q4, then the edge coins of all candidates, then the priority
 hashes, but only when Q3 needs them (a rescan
 past a cursor, or a cursor to leave at a cut), a live candidate succeeded or

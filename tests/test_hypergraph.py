@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tightpath
+from tightpath._rng import BLOCK, chain64
 from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
     Candidates,
@@ -139,6 +141,54 @@ def test_lazy_and_explicit_bulk_query_agree_on_one_candidates():
         assert mask.tolist() == He.bulk_query(cands).tolist()
         assert mask.tolist() == [Hl.query_edge(cands.row(i)) for i in range(cands.nrows)]
         assert mask.any()
+
+
+@pytest.mark.parametrize("J, xs, d", [
+    # J at both ends of [n] with an adjacent pair: G_0, G_2 and G_4 empty
+    ((0, 1, 200, 399), [v for v in range(400) if v not in (0, 1, 200, 399)], 2),
+    ((0, 60, 61, 119), [v for v in range(120) if v not in (0, 60, 61, 119)], 3),
+    # sparse free sets, J inside them
+    ((5, 300), [v for v in range(3, 800, 2) if v != 5], 2),
+    ((41, 42), [v for v in range(0, 180, 2) if v != 42], 3),
+])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_candidates_hash_is_bit_identical_across_slices(J, xs, d, dtype):
+    """Beyond 2 BLOCK rows, runs cross slice boundaries; the first and last
+    row of every block, and a fixed sample of the rest, hash as scalar
+    chain64 of K, and keep sees every slice of the same hashes."""
+    cands = Candidates(J, np.array(xs, dtype=dtype), d)
+    assert cands.nrows > 2 * BLOCK
+    key = 0xC0FFEE ^ d
+    h = cands.hash(key)
+    ends = [lo for _, lo, _ in cands.blocks][1:] + [cands.nrows]
+    sample = sorted({*(lo for _, lo, _ in cands.blocks), *(e - 1 for e in ends),
+                     *np.random.default_rng(21).integers(0, cands.nrows, 300).tolist()})
+    assert len(cands.blocks) > 1
+    for i in sample:
+        K = cands.row(i)
+        assert K == tuple(int(c[i]) for c in cands)
+        assert int(h[i]) == chain64(key, K), (i, K)
+    keep = lambda a: (a & np.uint64(7)) == 0  # noqa: E731
+    mask = cands.hash(key, keep=keep)
+    assert mask.dtype == bool and np.array_equal(mask, keep(h))
+
+
+def test_bulk_query_keeps_only_the_coin_mask():
+    """tracemalloc's peak over a lazy bulk_query of a (3, 1)-shaped Candidates
+    is the one-byte mask, a fixed number of hash slices, and O(|xs|) run
+    states, at two n a factor 2 apart."""
+    for n in (1200, 2400):
+        xs = np.array([v for v in range(n) if v != n // 2], dtype=np.int32)
+        cands = Candidates((n // 2,), xs, 2)
+        H = LazyHypergraph(n, 3, 0.01, seed=3)
+        tracemalloc.start()
+        try:
+            mask = H.bulk_query(cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.dtype == bool and mask.size == cands.nrows
+        assert peak <= cands.nrows + 8 * BLOCK * 8 + 64 * xs.size, (n, peak)
 
 
 def test_bulk_query_wide_vertex_range_fallback():

@@ -775,6 +775,23 @@ def test_resumed_vector_scans_query_no_backend():
     assert counts["resumed"] > counts["first"] // 4 > 0
 
 
+def test_loose_summary_runs_build_no_subset_table(monkeypatch):
+    """A lazy (3, 1) run that no clock cuts hashes its coins and priorities
+    and unranks its successes without one gap table: hypergraph.subset_cols
+    is never called."""
+    import tightpath.hypergraph as hg
+
+    calls, tables = [], hg.subset_cols
+    monkeypatch.setattr(hg, "subset_cols", lambda xs, d: calls.append(d) or tables(xs, d))
+    positives = 0
+    for seed in range(3):
+        tr = run(LazyHypergraph(40, 3, 0.01, seed=seed), 3, 1, seed=seed, trace_level="summary")
+        assert tr.stop_reason == "exhausted"
+        positives += tr.positives
+    assert positives > 0
+    assert calls == []
+
+
 @st.composite
 def search_cases(draw):
     k = draw(st.integers(2, 5))
