@@ -80,7 +80,7 @@ class SweepSpec:
             raise ValueError(f"mode must be one of {MODES}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-        if any(e == 0 or abs(e) >= 1 for e in self.eps_values):
+        if not all(0 < abs(e) < 1 for e in self.eps_values):  # NaN fails too
             raise ValueError("eps entries must be nonzero with |eps| < 1")
         if self.query_budget is not None and self.query_budget < 0:
             raise ValueError(f"query_budget must be >= 0, got {self.query_budget}")

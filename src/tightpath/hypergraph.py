@@ -9,7 +9,9 @@ either backend with equal seeds sees identical edges.
 
 select_subsets is the one walk that hashes every m-subset of [n] and keeps
 those whose hash passes a test: generate_explicit keeps the k-sets whose coin
-lands, and the search's neutral j-set stream one hash band.
+lands, and the search's neutral j-set stream one hash band. It hashes in
+slices of BLOCK rows, planned by the same run slicer as Candidates' ragged
+runs, so its memory beyond the kept rows is a few slices and O(n).
 
 Also provides a rank-sampling generator for instances whose k-set space is
 too large to enumerate but whose edge list is small (sparse subcritical
@@ -39,7 +41,6 @@ from ._rng import (
 )
 
 ENUMERATION_BUDGET = 10**8
-CHUNK = 1 << 20  # most rows select_subsets hashes at a time
 MATERIALIZE_CAP = 5 * 10**7  # most edges sample_explicit will draw
 
 
@@ -130,21 +131,21 @@ def subset_cols(xs: np.ndarray, d: int) -> list[np.ndarray]:
     return cols
 
 
-def _chunks(lens: list[int]):
-    """(first index, [(u, a, b)]) per chunk of at most CHUNK rows, in
-    lexicographic order: rows a..b-1 of the run of first vertex u."""
-    lo, size, segs = 0, 0, []
-    for u, run in enumerate(lens):
-        a = 0
-        while a < run:
-            b = min(run, a + CHUNK - size)
-            segs.append((u, a, b))
-            size, a = size + b - a, b
-            if size == CHUNK:
-                yield lo, segs
-                lo, size, segs = lo + size, 0, []
-    if segs:
-        yield lo, segs
+def _run_slices(pre: np.ndarray, ends: np.ndarray, size: int):
+    """(first row, states, positions) per slice of BLOCK rows of the runs
+    pre[p] x the last ends[p] - ends[p-1] rows of a size-row table, ends the
+    runs' cumulative lengths; a run may cross slices. Row r of run p is the
+    table's row r + size - ends[p], so a slice repeats its runs' states over
+    their rows and lists those positions."""
+    nrows = int(ends[-1])
+    ar = np.arange(size, size + min(BLOCK, nrows))
+    for r0 in range(0, nrows, BLOCK):
+        r1 = min(r0 + BLOCK, nrows)
+        p0, p1 = np.searchsorted(ends, [r0, r1 - 1], side="right").tolist()
+        lens = np.diff(np.minimum(ends[p0 : p1 + 1], r1), prepend=r0)
+        pos = np.repeat(r0 - ends[p0 : p1 + 1], lens)
+        pos += ar[: r1 - r0]
+        yield r0, np.repeat(pre[p0 : p1 + 1], lens), pos
 
 
 def select_subsets(key: int, n: int, m: int, keep) -> tuple[np.ndarray, np.ndarray]:
@@ -152,26 +153,27 @@ def select_subsets(key: int, n: int, m: int, keep) -> tuple[np.ndarray, np.ndarr
     passes ``keep``, a map from a uint64 hash array to a bool mask; rows is
     an (len, m) int64 array in lexicographic order, h its hashes.
 
-    The walk hashes every m-subset in lexicographic order, at most CHUNK rows
-    at a time. The m-subsets that start at vertex u are u followed by the last
-    C(n-1-u, m-1) rows of the lexicographic (m-1)-subset table of range(n), so
-    each row hashes as that tail against the prefix state chain64(key, (u,)),
-    computed once per u. Only the kept rows are built.
+    The walk hashes every m-subset in lexicographic order, in slices of
+    BLOCK rows. The m-subsets that start at vertex u are u followed by the
+    last C(n-1-u, m-1) rows of the lexicographic (m-1)-subset table of
+    range(n), so each row hashes as that tail against the prefix state
+    chain64(key, (u,)), computed once per u: a slice gathers its tails from
+    the table and hashes them against its runs' repeated states. Only the
+    kept rows are built.
     """
     tails = subset_cols(np.arange(n), m - 1) if m > 1 else []
     end = math.comb(n, m - 1)  # rows of the tail table
-    lens = _run_lens(n, m)  # rows that start at u = 0, 1, ..., n-m
-    pre = chain64_np(key, [np.arange(len(lens))])
+    ends = np.cumsum(_run_lens(n, m))  # rows up to the run of u = 0, 1, ..., n-m
+    pre = chain64_np(key, [np.arange(ends.size)])
+    bufs = [np.empty(min(BLOCK, int(ends[-1])), dtype=np.int64) for _ in tails]
     kept = []
-    for first, segs in _chunks(lens):
-        h = np.repeat(pre[[u for u, _, _ in segs]], [b - a for _, a, b in segs])
-        if tails:
-            h = chain64_np(h, [np.concatenate([col[end - lens[u] + a : end - lens[u] + b]
-                                               for u, a, b in segs]) for col in tails])
+    for first, h, pos in _run_slices(pre, ends, end):
+        if tails:  # take into bufs allocates nothing; mode "raise" would buffer
+            h = chain64_np(h, [np.take(col, pos, out=b[: pos.size], mode="clip")
+                                for col, b in zip(tails, bufs)])
         sel = np.flatnonzero(keep(h))
         kept.append((h[sel], first + sel))
     h, idx = map(np.concatenate, zip(*kept))
-    ends = np.cumsum(lens, dtype=np.int64)
     u = np.searchsorted(ends, idx, side="right")
     return h, np.column_stack([u] + [col[end - ends[u] + idx] for col in tails])
 
@@ -197,20 +199,10 @@ def _ragged_runs(pre: np.ndarray, g: np.ndarray, starts: np.ndarray, dst: np.nda
                  tmp: np.ndarray):
     """(slice of dst, states, values) per slice of BLOCK rows of the runs
     states[p] x G[starts[p]:], g the gap's values plus one; a run may cross
-    slices. Row r of run p reads g at r + g.size - ends[p], ends the runs'
-    cumulative lengths, so a slice repeats its runs' states and gathers its
-    values from g into tmp."""
-    ends = np.cumsum(g.size - starts)
-    ar = np.arange(g.size, g.size + min(BLOCK, dst.size))
-    for r0 in range(0, dst.size, BLOCK):
-        r1 = min(r0 + BLOCK, dst.size)
-        p0, p1 = np.searchsorted(ends, [r0, r1 - 1], side="right").tolist()
-        lens = np.diff(np.minimum(ends[p0 : p1 + 1], r1), prepend=r0)
-        idx = np.repeat(r0 - ends[p0 : p1 + 1], lens)
-        idx += ar[: r1 - r0]
-        # take into a given array, unlike g[idx], allocates nothing
-        yield dst[r0:r1], np.repeat(pre[p0 : p1 + 1], lens), np.take(g, idx, out=tmp[: r1 - r0],
-                                                                      mode="clip")
+    slices. A slice's values are gathered from g into tmp."""
+    for r0, states, pos in _run_slices(pre, np.cumsum(g.size - starts), g.size):
+        # take into a given array, unlike g[pos], allocates nothing
+        yield dst[r0 : r0 + pos.size], states, np.take(g, pos, out=tmp[: pos.size], mode="clip")
 
 
 class Candidates(abc.Sequence):

@@ -56,8 +56,10 @@ class StoppingConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if self.target_length < 0:
-            raise ValueError("target_length must be >= 0")
+        if not self.target_length >= 0:  # NaN fails too: S1 could never fire
+            raise ValueError(f"target_length must be >= 0, got {self.target_length}")
+        if not self.T0 >= 0:  # likewise S2
+            raise ValueError(f"T0 must be >= 0, got {self.T0}")
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if any(a >= b for a, b in zip(self.c_ladder, self.c_ladder[1:])):
@@ -128,14 +130,11 @@ class DegreeTracker:
     def __init__(self, j: int):
         self.j = j
         self.counts: list[dict[tuple, int]] = [dict() for _ in range(j)]
-        self._seen: set[tuple] = set()
 
     def update(self, jset: Sequence[int]) -> list[tuple[int, tuple]]:
-        """Record one newly discovered j-set; returns the touched (i, I) pairs."""
+        """Record one newly discovered j-set; returns the touched (i, I) pairs.
+        Novelty is the caller's to check: the search guards its discovered set."""
         t = tuple(jset)
-        if t in self._seen:
-            raise AssertionError(f"j-set discovered twice: {t}")
-        self._seen.add(t)
         touched = []
         for i in range(self.j):
             ci = self.counts[i]

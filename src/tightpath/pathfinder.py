@@ -619,11 +619,16 @@ class PathFinder:
             return False
         self._reset_path(jset)
         self.stack = [ActiveRecord(jset, 0)]
-        self.discovered.add(jset)
-        self.monitor.on_discover(jset, new_start=True)
+        self._discover(jset, new_start=True)
         self._emit({"event": "new_start", "t": self.t, "jset": list(jset),
                     "partition": [list(b) for b in self.blocks]})
         return True
+
+    def _discover(self, jset: tuple, new_start: bool) -> None:
+        if jset in self.discovered:
+            raise AssertionError(f"j-set discovered twice: {jset}")
+        self.discovered.add(jset)
+        self.monitor.on_discover(jset, new_start=new_start)
 
     def _explore_top(self) -> None:
         rec = self.stack.pop()
@@ -643,8 +648,7 @@ class PathFinder:
         members = activate_batch(self.params, self.blocks)
         members.sort(key=lambda js: (chain64(self.sigj_key, js), js))
         for js in members:
-            self.discovered.add(js)
-            self.monitor.on_discover(js, new_start=False)
+            self._discover(js, new_start=False)
         self.activations += len(members)
         self._emit({"event": "batch", "t": self.t, "edge_index": self.ell,
                     "members": [list(js) for js in members], "skipped": 0})

@@ -166,6 +166,23 @@ def test_run_t0_alone_stops_at_s2(capsys):
         assert (summary["stop_reason"], summary["queries"]) == ("S2", "5")
 
 
+def test_run_nan_target_or_t0_exits_1(capsys):
+    """A NaN threshold could never fire, so it is refused before the run."""
+    argv = ("run", "-n", "30", "-k", "3", "-j", "2", "-p", "0.2", "--seed", "1")
+    for flag in ("--target", "--t0"):
+        code, out, err = run_cli(capsys, *argv, flag, "nan")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_nan_eps_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("k=3\nj=2\nn=20\neps=nan\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "eps" in err and err.count("\n") == 1
+
+
 def test_run_target_and_t0_need_stopping_none(capsys):
     """A named rule sets its own S1/S2 thresholds, so --target or --t0 beside
     it is an error naming the flag, not a value silently ignored; --budget
@@ -365,6 +382,17 @@ def test_verify_rejects_zero_k_and_j(capsys):
             code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "2", *flags)
             assert (code, out) == (1, "")
             assert err.startswith("error: ")
+
+
+def test_verify_oracle_bound_refuses_n_above_its_cap(capsys):
+    """The exact oracle runs only up to n = 12, so a larger -n for a run
+    that includes oracle-bound is an error before any suite prints."""
+    for suite in ("oracle-bound", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "1", "-n", "30")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "n <= 12" in err and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-bound", "--trials", "1", "-n", "12")
+    assert code == 0 and out.startswith("PASS oracle-bound")
 
 
 def test_missing_required_values(capsys):

@@ -64,6 +64,8 @@ def test_spec_validation():
         small_spec(eps_values=(1.0,))
     with pytest.raises(ValueError):
         small_spec(eps_values=(-1.2,))
+    with pytest.raises(ValueError, match="eps"):
+        small_spec(eps_values=(0.3, math.nan))
     with pytest.raises(ValueError, match="query_budget"):
         small_spec(query_budget=-1)
     with pytest.raises(ValueError, match="node_budget"):

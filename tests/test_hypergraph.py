@@ -26,6 +26,7 @@ from tightpath.hypergraph import (
     generate_explicit,
     pack_rows,
     sample_explicit,
+    select_subsets,
     unrank_colex,
 )
 
@@ -191,6 +192,24 @@ def test_bulk_query_keeps_only_the_coin_mask():
         assert peak <= cands.nrows + 8 * BLOCK * 8 + 64 * xs.size, (n, peak)
 
 
+def test_select_subsets_keeps_a_few_slices_beyond_the_kept_rows():
+    """tracemalloc's peak over a band walk of the 2-subsets of [n], less the
+    kept rows and their hashes, is a fixed number of BLOCK-row slices plus
+    O(n) run states, at two n a factor 4 apart."""
+    key, low, top = 0xBADC0DE, np.uint64(1 << 63), np.uint64((1 << 63) + (1 << 52))
+    for n in (2000, 8000):
+        tracemalloc.start()
+        try:
+            h, rows = select_subsets(key, n, 2, lambda h: (h >= low) & (h <= top))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (h.size, 2) and h.size > 0
+        assert ((h >= low) & (h <= top)).all()
+        assert all(int(v) == chain64(key, K) for v, K in zip(h[:50], rows[:50].tolist()))
+        assert peak - (h.nbytes + rows.nbytes) <= 16 * BLOCK * 8 + 64 * n, (n, peak)
+
+
 def test_bulk_query_wide_vertex_range_fallback():
     # n^k = 255^8 exceeds 2^63, forcing the unpacked membership path
     n, k = 255, 8
@@ -266,16 +285,16 @@ def test_unrank_colex_orders_by_reversed_tuple():
         assert r == sum(math.comb(c, i + 1) for i, c in enumerate(S))
 
 
-@pytest.mark.parametrize("chunk", [5, 64, None])
+@pytest.mark.parametrize("block", [5, 64, None])
 @pytest.mark.parametrize("n, k", [(13, 2), (13, 3), (10, 4), (9, 5)])
-def test_generate_explicit_chunks_keep_exactly_the_lazy_coins(monkeypatch, n, k, chunk):
-    """Vertex 0's run of C(n-1, k-1) k-sets is longer than a 5-row chunk, and
-    for k >= 3 than a 64-row one too: chunk edges inside a run, across runs,
+def test_generate_explicit_chunks_keep_exactly_the_lazy_coins(monkeypatch, n, k, block):
+    """Vertex 0's run of C(n-1, k-1) k-sets is longer than a 5-row slice, and
+    for k >= 3 than a 64-row one too: slice edges inside a run, across runs,
     and at the default size keep exactly the k-sets whose lazy coin lands."""
     import tightpath.hypergraph as hg
 
-    if chunk is not None:
-        monkeypatch.setattr(hg, "CHUNK", chunk)
+    if block is not None:
+        monkeypatch.setattr(hg, "BLOCK", block)
     for seed in range(3):
         lazy = LazyHypergraph(n, k, 0.3, seed=seed)
         expected = [K for K in all_ksets(n, k) if lazy.query_edge(K)]

@@ -153,6 +153,15 @@ def test_s4_requires_a_full_ladder():
         Monitor(100, 3, 2, StoppingConfig(c_ladder=(1.0,), enabled=frozenset({S4})))
 
 
+def test_nan_and_negative_thresholds_are_refused():
+    """A NaN target or T0 would leave S1 or S2 unable to fire, so the run
+    would go on to exhaustion; NaN and negative thresholds raise instead."""
+    for kwargs in ({"target_length": math.nan}, {"T0": math.nan}, {"T0": -1.0}):
+        with pytest.raises(ValueError, match="target_length|T0"):
+            StoppingConfig(**kwargs)
+    assert StoppingConfig(target_length=0, T0=0).T0 == 0
+
+
 def test_degree_tracker_counts_all_subsets():
     tr = DegreeTracker(2)
     touched = tr.update((3, 7))
@@ -163,8 +172,6 @@ def test_degree_tracker_counts_all_subsets():
     assert tr.degree((7,)) == 1
     assert tr.degree((5,)) == 0
     assert tr.discovered_count == 2
-    with pytest.raises(AssertionError):
-        tr.update((3, 7))
 
 
 def test_degree_tracker_handedness_identity():

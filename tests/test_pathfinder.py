@@ -5,6 +5,7 @@ import json
 import math
 import time
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,6 +253,26 @@ def test_retreat_removes_the_edge_of_a_spent_batch():
     assert top.jset in finder.explored
     assert finder.ell == 0 and finder.edges == []
     assert set(np.flatnonzero(finder.in_path)) == set(rec.jset)
+
+
+def test_discovering_a_jset_twice_raises():
+    """The discovered set guards itself: a batch member already in it, or a
+    new start already in it, raises before it is added a second time."""
+    finder = PathFinder(empty_H(8), j=2, mode="checked")
+    finder._new_start()
+    rec = finder.stack[-1]
+    X = tuple(v for v in range(8) if v not in rec.jset)[:1]
+    finder._extend(rec, tuple(sorted(rec.jset + X)))
+    member = activate_batch(finder.params, finder.blocks)[0]
+    finder.discovered.add(member)
+    with pytest.raises(AssertionError, match="discovered twice"):
+        finder._activate()
+    finder = PathFinder(empty_H(8), j=2, mode="checked")
+    finder._new_start()
+    jset = finder.stack[-1].jset
+    finder.stream = SimpleNamespace(pop=lambda: jset)  # a stream that yields it again
+    with pytest.raises(AssertionError, match="discovered twice"):
+        finder._new_start()
 
 
 @pytest.mark.parametrize("k, j", [(3, 1), (5, 2)])
@@ -1145,34 +1166,34 @@ def pop_all(stream):
 
 
 # (n, j) universes in which, for j >= 2, a first vertex's run of
-# C(n-1, j-1) rows is longer than a 5-row chunk, and for j >= 3 than a
+# C(n-1, j-1) rows is longer than a 5-row slice, and for j >= 3 than a
 # 64-row one too
 STREAM_SHAPES = [(13, 1), (13, 2), (13, 3), (10, 4)]
 
 
-@pytest.mark.parametrize("chunk", [5, 64, None])
+@pytest.mark.parametrize("block", [5, 64, None])
 @pytest.mark.parametrize("n, j", STREAM_SHAPES)
-def test_neutral_stream_matches_brute_order(monkeypatch, n, j, chunk):
-    """Chunk edges inside first-vertex runs, across them, and a run longer
-    than a chunk change nothing: the stream is the brute (priority, J) order,
-    and no chunk hashes more than CHUNK rows."""
+def test_neutral_stream_matches_brute_order(monkeypatch, n, j, block):
+    """Slice edges inside first-vertex runs, across them, and a run longer
+    than a slice change nothing: the stream is the brute (priority, J) order,
+    and no slice hashes more than BLOCK rows."""
     import tightpath.hypergraph as hg
 
-    if chunk is not None:
-        monkeypatch.setattr(hg, "CHUNK", chunk)
-    chunk_rows = []
+    if block is not None:
+        monkeypatch.setattr(hg, "BLOCK", block)
+    slice_rows = []
 
     def spy(key, cols):
-        if np.ndim(key):  # a chunk's tails against its repeated prefix states
-            chunk_rows.append(np.size(key))
+        if np.ndim(key):  # a slice's tails against its repeated prefix states
+            slice_rows.append(np.size(key))
         return chain64_np(key, cols)
 
     monkeypatch.setattr(hg, "chain64_np", spy)
     for seed in (1, 2, 3):
         key = derive_key(seed, "sigma-j")
         assert pop_all(_NeutralStream(n, j, key, set())) == brute_priority(n, j, key)
-    assert max(chunk_rows, default=0) <= hg.CHUNK
-    assert sum(chunk_rows) == (3 * math.comb(n, j) if j > 1 else 0)
+    assert max(slice_rows, default=0) <= hg.BLOCK
+    assert sum(slice_rows) == (3 * math.comb(n, j) if j > 1 else 0)
 
 
 def spy_bands(monkeypatch):
@@ -1189,17 +1210,17 @@ def spy_bands(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("chunk", [5, 64])
+@pytest.mark.parametrize("block", [5, 64])
 @pytest.mark.parametrize("n, j", STREAM_SHAPES)
-def test_neutral_stream_small_bands_cover_the_universe_once(monkeypatch, n, j, chunk):
+def test_neutral_stream_small_bands_cover_the_universe_once(monkeypatch, n, j, block):
     """Bands about 3 rows wide, then 4x wider each, cover the universe once,
-    with chunks full of rows outside the band being built; the pops are the
+    with slices full of rows outside the band being built; the pops are the
     brute (priority, J) order."""
     import tightpath.hypergraph as hg
     import tightpath.pathfinder as pf
 
     monkeypatch.setattr(pf, "BAND", 3)
-    monkeypatch.setattr(hg, "CHUNK", chunk)
+    monkeypatch.setattr(hg, "BLOCK", block)
     sizes = spy_bands(monkeypatch)
     key = derive_key(8, "sigma-j")
     stream = _NeutralStream(n, j, key, set())
