@@ -255,6 +255,8 @@ def cmd_verify(args) -> int:
         "oracle-bound": _verify_oracle_bound,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if "oracle-bound" in names and args.n is not None and args.n > 12:  # the exact oracle's reach
         raise ValueError(f"oracle-bound runs at n <= 12, got -n {args.n}")
     ok = all(suites[name](args) for name in names)

@@ -82,6 +82,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 0")
         if not all(0 < abs(e) < 1 for e in self.eps_values):  # NaN fails too
             raise ValueError("eps entries must be nonzero with |eps| < 1")
+        if not (0 < self.delta < 1 and self.omega > 0):  # NaN fails too
+            raise ValueError(f"need 0 < delta < 1 and omega > 0, got {self.delta}, {self.omega}")
         if self.query_budget is not None and self.query_budget < 0:
             raise ValueError(f"query_budget must be >= 0, got {self.query_budget}")
         if self.node_budget < 0:

@@ -218,17 +218,17 @@ class Candidates(abc.Sequence):
     As a sequence it is K's k columns, of xs's dtype, in block order, each
     built on first use; ``xcols()`` lists X's d columns, built the same way,
     and ``row(i)`` one row's K, unranked arithmetically from i.
+    ``kept_hash(key)`` is ``hash(key)``, likewise built once and kept.
 
     ``hash(key)`` is chain64(key, K) of every row, bit for bit, without
     building K. With d = 1 it is one pass over xs. With d >= 2, a block's
     rows are runs: every row of a run shares K up to its last X vertex,
     which takes the values of a suffix of one gap G_t, and then J's
-    vertices after G_t. Each run's prefix state is hashed once, at the
-    coarsest level where it is constant (J's vertices ahead of the first X
-    vertex once per block, a gap table's first column once per run of equal
-    values, each later gap as a broadcast axis of an outer product); only
-    d >= 3 builds a subset table, of the prefixes. The rows are then hashed
-    in slices of about ``BLOCK``, straight into the output: a 2-D broadcast
+    vertices after G_t. A block's run prefix states are hashed whole in one
+    pass: an outer product with one axis per gap table and J's vertices
+    between gaps as scalars. Only a gap that holds two or more prefix
+    vertices builds a subset table. The rows are then hashed in slices of
+    about ``BLOCK``, straight into the output: a 2-D broadcast
     of states against G_t where each run takes all of it, a repeat of the
     states and a gather from G_t where the runs are ragged. ``hash(key,
     keep)`` applies keep to each slice and stores only the mask, one byte
@@ -251,6 +251,7 @@ class Candidates(abc.Sequence):
         self._tables: dict = {}
         self._layouts: dict = {}
         self._cols: dict = {}
+        self._hashes: dict = {}
 
     def _table(self, t: int, c: int) -> list[np.ndarray]:
         if (t, c) not in self._tables:
@@ -347,34 +348,35 @@ class Candidates(abc.Sequence):
                     part[...] = keep(h)
         return out
 
+    def kept_hash(self, key: int) -> np.ndarray:
+        """hash(key), built on first use and kept, like the columns."""
+        if key not in self._hashes:
+            self._hashes[key] = self.hash(key)
+        return self._hashes[key]
+
     def _runs(self, key: int, c) -> tuple:
         """Block c's rows as runs (states, t, starts): G_t is the last gap
         holding an X vertex, and run p is the rows whose K up to its last X
         vertex hashes to states[p]. That vertex takes the values G_t[starts[p]:]
         in turn, all of G_t when starts is None, and J's vertices after G_t
-        follow it. The runs are in row order: the prefixes are the block's
-        rows with G_t's table cut to its first c_t - 1 columns over G_t[:-1]."""
+        follow it. The states, in row order, are one hash of the block's rows
+        with G_t's table cut to its first c_t - 1 columns over G_t[:-1]."""
         ts = [t for t, ct in enumerate(c) if ct]
-        h, last, inner = chain64(key, self.J[: ts[0]]), ts[-1], None
-        for t, nxt in zip(ts, ts[1:] + [len(c)]):
-            g, ct, us = self.gaps[t], c[t], list(self.J[t:nxt])
+        last, vals = ts[-1], list(self.J[: ts[0]])
+        ndim = len(ts) - (c[last] == 1)  # a last gap of one X vertex adds no axis
+        for a, (t, nxt) in enumerate(zip(ts, ts[1:] + [len(c)])):
+            g, ct, us = self.gaps[t], c[t], self.J[t:nxt]
             if t == last:  # every X vertex of G_t but the last, which has one after it
-                g, ct, us = g[:-1], ct - 1, []
-                if not ct:
-                    break
-            tab = [g] if ct == 1 else subset_cols(g, ct)  # one column is the gap itself
-            if t == last:
-                inner = np.searchsorted(self.gaps[t], tab[-1], side="right")
-            if not isinstance(h, int):  # the rows so far times G_t's rows
-                h = chain64_np(h[:, None], [col[None, :] for col in tab] + us).ravel()
-                continue
-            if len(tab) > 1:  # the first column once per run of equal values
-                lens = _run_lens(g.size, ct)
-                h = np.repeat(chain64_np(h, [g[: len(lens)]]), lens)
-                tab = tab[1:]
-            h = chain64_np(h, tab + us)
-        pre = np.array(h, dtype=np.uint64, ndmin=1)
-        return pre, last, None if inner is None else np.tile(inner, pre.size // inner.size)
+                g, ct, us = g[:-1], ct - 1, ()
+            if ct:
+                tab = [g] if ct == 1 else subset_cols(g, ct)  # one column is the gap itself
+                vals += [col.reshape([-1 if b == a else 1 for b in range(ndim)]) for col in tab]
+            vals += us
+        pre = chain64_np(key, vals).ravel()
+        if c[last] == 1:  # the last X vertex takes all of G_t in every run
+            return pre, last, None
+        starts = np.searchsorted(self.gaps[last], tab[-1], side="right")  # past each prefix
+        return pre, last, np.tile(starts, pre.size // starts.size)
 
 
 class ExplicitHypergraph:

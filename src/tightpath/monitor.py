@@ -79,8 +79,8 @@ class StoppingConfig:
     ) -> "StoppingConfig":
         """Supercritical run parameters: stop at (1-delta) eps n/(k-j)^2 or
         after n^(k-j+1)/eps queries."""
-        if eps <= 0:
-            raise ValueError("standard stopping needs eps > 0")
+        if not (eps > 0 and 0 < delta < 1):  # NaN fails; S1's target is below the paper's
+            raise ValueError(f"standard stopping needs eps > 0 and 0 < delta < 1, got {eps}, {delta}")
         return cls(
             target_length=(1 - delta) * eps * n / (k - j) ** 2,
             T0=n ** (k - j + 1) / eps,
@@ -106,8 +106,8 @@ class StoppingConfig:
         time cap eps n C(n-1, k-1) / (2(k-1))."""
         if j != 1:
             raise ValueError("loose stopping is defined for j = 1")
-        if eps <= 0:
-            raise ValueError("loose stopping needs eps > 0")
+        if not (eps > 0 and 0 < delta < 1):  # NaN fails; S1's target is below the paper's
+            raise ValueError(f"loose stopping needs eps > 0 and 0 < delta < 1, got {eps}, {delta}")
         return cls(
             target_length=(1 - delta) * eps**2 * n / (4 * (k - 1) ** 2),
             T0=eps * n * math.comb(n - 1, k - 1) / (2 * (k - 1)),
@@ -195,12 +195,11 @@ class Monitor:
     def check_stop(self, ell: int, t: int) -> Optional[str]:
         """First triggered condition in order S1, S2, S3, S4, else None."""
         cfg = self.config
+        touched, self._touched = self._touched, []
         if S1 in cfg.enabled and ell >= cfg.target_length:
-            self._touched.clear()
             return S1
         reason = self.time_reason(t)
         if reason is not None:
-            self._touched.clear()
             return reason
         if S3 in cfg.enabled:
             thresh = (
@@ -210,15 +209,12 @@ class Monitor:
                 + self._nbeta / 2
             )
             if self.new_starts >= thresh:
-                self._touched.clear()
                 return S3
-        if S4 in cfg.enabled and self._touched:
-            for i, I in self._touched:
+        if S4 in cfg.enabled:
+            for i, I in touched:
                 bound = cfg.c_ladder[i] * t / self.n ** (self.k - self.j + i) + self._nbeta
                 if self.degrees.counts[i][I] >= bound:
-                    self._touched.clear()
                     return S4
-        self._touched.clear()
         return None
 
 

@@ -47,18 +47,17 @@ J's vertices sit at fixed positions of K. Its rows are runs that share K up
 to the last X vertex, so a hash of every K reuses the prefix state of each
 run and hashes only that vertex and J's vertices after it per row, in
 cache-sized slices, instead of k columns per row; the edge coins keep only
-their mask. It works
-in this order: Q4, then the edge coins of all candidates, then the priority
-hashes, but only when Q3 needs them (a rescan
-past a cursor, or a cursor to leave at a cut), a live candidate succeeded or
-the trace level is full. Nothing depends on the order of the rows, only on
-the summary below, and a first scan with no live success needs no priority
-at all. The scan reports the queries the scalar scan
-would make, in the same order and with the same cutoffs, so events, counts
-and traces are identical; a full trace lists them, and a cut finds its
-cursor, by sorting the live rows on (priority, K). Its vertex columns are
-int32, half the memory traffic of int64; PathFinder therefore refuses
-n >= 2^31.
+their mask. It works in this order: Q4, then the edge coins of all
+candidates. The priority hashes are one cached pass, run where they are
+first needed: by Q3 on a rescan past a cursor (ahead of the coins), or by a
+live success, a full trace, or a cursor to leave at a cut. Nothing depends
+on the order of the rows, only on the summary below, and a first scan with
+no live success needs no priority at all. The scan reports the queries the
+scalar scan would make, in the same order and with the same cutoffs, so
+events, counts and traces are identical; a full trace lists them, and a cut
+finds its cursor, by sorting the live rows on (priority, K). Its vertex
+columns are int32, half the memory traffic of int64; PathFinder therefore
+refuses n >= 2^31.
 
 Every vector scan answers from one summary of its live rows past the
 cursor: the live successes as sorted (priority, K), and the number of the
@@ -446,16 +445,15 @@ class PathFinder:
                     alive &= np.isin(pack_rows(sub, self.n), keys, invert=True)
         return alive
 
-    @staticmethod
-    def _after(h: np.ndarray, row, key: tuple, rows=True) -> np.ndarray:
+    def _after(self, cands: Candidates, key: tuple, rows=True) -> np.ndarray:
         """The rows of the mask rows (default all) whose (priority, K) comes
-        after key; row(i) is row i's K, read only for those tied with key."""
-        hk, K = key
+        after key; a row's K is read only for those tied with key."""
+        h, (hk, K) = cands.kept_hash(self.sigk_key), key
         after, tie = h > np.uint64(hk), h == np.uint64(hk)
         after &= rows
         tie &= rows
         for i in np.flatnonzero(tie):
-            after[i] = row(i) > K
+            after[i] = cands.row(i) > K
         return after
 
     def _marks(self, J: tuple) -> tuple:
@@ -464,19 +462,20 @@ class PathFinder:
         return tuple((T, len(self.explored_by.get(T, ()))) for i in range(1, min(self.j, self.d) + 1)
                      for T in combinations(J, self.j - i))
 
-    def _gaps(self, cands: Candidates, h, rows: np.ndarray, later: list) -> list:
+    def _gaps(self, cands: Candidates, rows: np.ndarray, later: list) -> list:
         """How many of the marked rows lie in each gap before, between and
         after the sorted (priority, K) keys later."""
-        ends = [int(np.count_nonzero(self._after(h, cands.row, key, rows))) for key in later]
+        ends = [int(np.count_nonzero(self._after(cands, key, rows))) for key in later]
         ends = [int(np.count_nonzero(rows)), *ends, 0]
         return [a - b for a, b in zip(ends, ends[1:])]
 
-    def _summary(self, cands: Candidates, h, alive, succ) -> tuple:
+    def _summary(self, cands: Candidates, alive, succ) -> tuple:
         """The scan's answer from its live rows: the live successes as sorted
         (priority, K), and the number of the other live rows in each gap
-        before, between and after them. h is needed only if a row succeeded."""
-        later = sorted((int(h[i]), cands.row(i)) for i in np.flatnonzero(succ))
-        return later, self._gaps(cands, h, alive & ~succ, later)
+        before, between and after them. It hashes priorities only if a row succeeded."""
+        later = sorted((int(cands.kept_hash(self.sigk_key)[i]), cands.row(i))
+                       for i in np.flatnonzero(succ))
+        return later, self._gaps(cands, alive & ~succ, later)
 
     def _replay(self, rec: ActiveRecord):
         """The record's summary after the Q4 kills filed since its last scan,
@@ -531,13 +530,12 @@ class PathFinder:
         free = ~self.in_path & (dead == 0)
         free[list(S)] = False
         cands = Candidates(J2, np.flatnonzero(free).astype(np.int32), 1)
-        h = cands.hash(self.sigk_key)
         hits = []  # stored successes that are rows here; each lies in the gap before it
         for i, (_, K) in enumerate(later):
             w = set(K).difference(J2)
             if len(w) == 1 and free[w.pop()]:
                 hits.append(i)
-        for i, c in enumerate(self._gaps(cands, h, self._after(h, cands.row, rec.cursor), later)):
+        for i, c in enumerate(self._gaps(cands, self._after(cands, rec.cursor), later)):
             gaps[i] -= c - (i in hits)
         return hits
 
@@ -551,35 +549,31 @@ class PathFinder:
         kept = self._replay(rec) if rec.resume else None
         rec.resume = None
         if kept is None or t0 + kept[1][0] >= t_stop:
-            # Work order: the Q4 mask, then the coins, then the priorities only
-            # when Q3 needs them (a rescan past a cursor), a full trace lists
-            # the queries, or a live candidate succeeded. Hashing has no side
-            # effects, so the order changes no outcome.
+            # Work order: the Q4 mask, then the coins. The priorities are one
+            # cached pass, run where first needed: Q3 on a rescan past a
+            # cursor, a live success, a full trace's queries or a cut. Hashing
+            # has no side effects, so the order changes no outcome.
             # Q4 for one-vertex completions: drop v where T u {v} is explored
             # for a (j-1)-subset T of J. No dropped candidate is ever queried.
             free = ~self.in_path
             free[[v for (v,) in self._filed(rec.jset, 1)]] = False
             cands = Candidates(rec.jset, np.flatnonzero(free).astype(np.int32), self.d)
             alive = self._q4_mask(rec.jset, cands)
-            h = cands.hash(self.sigk_key) if full or rec.cursor is not None else None
             if rec.cursor is not None:
-                alive = self._after(h, cands.row, rec.cursor, alive)
+                alive = self._after(cands, rec.cursor, alive)
             if not alive.any():
                 return ("exhausted",)
             succ = alive & self.H.bulk_query(cands)
-            if h is None and succ.any():
-                h = cands.hash(self.sigk_key)
-            kept = self._summary(cands, h, alive, succ)
+            kept = self._summary(cands, alive, succ)
         later, gaps = kept
         # the clock stops at a failed query at t_stop; a success there stands
         cut = t0 + gaps[0] >= t_stop
         self.t = int(t_stop) if cut else t0 + gaps[0] + bool(later)
         if full:  # a full trace never stores a summary, so this scan built its rows
-            self._emit_queries(rec, cands, h, alive, succ, t0)
+            self._emit_queries(rec, cands, alive, succ, t0)
         if cut:
             # Q3 as the generic scan leaves it: at the last row the clock counted
-            if h is None:
-                h = cands.hash(self.sigk_key)
+            h = cands.kept_hash(self.sigk_key)
             last = self._query_order(cands, h, alive)[self.t - t0 - 1]
             rec.cursor = (int(h[last]), cands.row(last))
             return ("stop", self.monitor.time_reason(self.t))
@@ -596,10 +590,10 @@ class PathFinder:
         live = np.flatnonzero(alive)
         return live[np.lexsort(tuple(c[live] for c in reversed(cands)) + (h[live],))]
 
-    def _emit_queries(self, rec: ActiveRecord, cands: Candidates, h, alive, succ, t0: int) -> None:
+    def _emit_queries(self, rec: ActiveRecord, cands: Candidates, alive, succ, t0: int) -> None:
         """One query event per clock tick since t0: the live rows in query
         order, cut where the clock stopped."""
-        rows = self._query_order(cands, h, alive)[: self.t - t0]
+        rows = self._query_order(cands, cands.kept_hash(self.sigk_key), alive)[: self.t - t0]
         edges = np.column_stack([c[rows] for c in cands]).tolist()
         for t, (K, outcome) in enumerate(zip(edges, succ[rows].tolist()), t0 + 1):
             self._emit({"event": "query", "t": t, "jset": list(rec.jset),

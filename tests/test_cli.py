@@ -183,6 +183,29 @@ def test_sweep_nan_eps_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "eps" in err and err.count("\n") == 1
 
 
+def test_run_delta_outside_0_1_exits_1(capsys):
+    """--delta sets S1's target (1-delta) eps n/(k-j)^2, so a delta outside
+    (0, 1) is refused before the run."""
+    argv = ("run", "-n", "30", "-k", "3", "-j", "2", "-p", "0.2", "--stopping", "standard",
+            "--eps", "0.2")
+    for delta in ("-0.5", "0", "1", "nan"):
+        code, out, err = run_cli(capsys, *argv, "--delta", delta)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "delta" in err and err.count("\n") == 1
+
+
+def test_sweep_bad_delta_or_omega_exits_1_before_any_trial(tmp_path, capsys):
+    """A bad delta or omega fails at the config, so no trial CSV is written."""
+    trials = tmp_path / "trials.csv"
+    for line in ("delta=0", "delta=1.5", "omega=-1"):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"k=3\nj=2\nn=20\neps=0.3\n{line}\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(trials),
+                                 "--summary", str(tmp_path / "summary.csv"))
+        assert (code, out) == (1, "") and not trials.exists()
+        assert err.startswith("error: ") and line.split("=")[0] in err and err.count("\n") == 1
+
+
 def test_run_target_and_t0_need_stopping_none(capsys):
     """A named rule sets its own S1/S2 thresholds, so --target or --t0 beside
     it is an error naming the flag, not a value silently ignored; --budget
@@ -382,6 +405,16 @@ def test_verify_rejects_zero_k_and_j(capsys):
             code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "2", *flags)
             assert (code, out) == (1, "")
             assert err.startswith("error: ")
+
+
+def test_verify_rejects_trials_below_1(capsys):
+    """--trials 0 would pass every suite on 0/0 runs, so it and any lower
+    count exit 1 with one line naming the flag, before any suite prints."""
+    for suite in ("lazy-explicit", "oracle-bound", "all"):
+        for trials in ("0", "-5"):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "--trials" in err and err.count("\n") == 1
 
 
 def test_verify_oracle_bound_refuses_n_above_its_cap(capsys):

@@ -73,6 +73,16 @@ def test_spec_validation():
     assert (small_spec(query_budget=0).query_budget, small_spec(node_budget=0).node_budget) == (0, 0)
 
 
+def test_spec_refuses_delta_outside_0_1_and_nonpositive_omega():
+    """aggregate's bounds need 0 < delta < 1 and omega > 0, so the spec
+    refuses any other value, NaN included, before a trial runs."""
+    for over in ({"delta": 0.0}, {"delta": 1.0}, {"delta": -0.5}, {"delta": math.nan},
+                 {"omega": 0.0}, {"omega": -1.0}, {"omega": math.nan}):
+        with pytest.raises(ValueError, match="delta.*omega"):
+            small_spec(**over)
+    assert (small_spec(delta=0.25).delta, small_spec(omega=0.5).omega) == (0.25, 0.5)
+
+
 def test_spec_from_config():
     spec = SweepSpec.from_config({
         "k": "3", "j": "2", "n": "60,120", "eps": "-0.3,0.3", "trials": "4",

@@ -151,6 +151,8 @@ def test_lazy_and_explicit_bulk_query_agree_on_one_candidates():
     # sparse free sets, J inside them
     ((5, 300), [v for v in range(3, 800, 2) if v != 5], 2),
     ((41, 42), [v for v in range(0, 180, 2) if v != 42], 3),
+    # d = 4: two gaps of two or more X vertices, and a three-column prefix table
+    ((20, 41), [v for v in range(62) if v not in (20, 41)], 4),
 ])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_candidates_hash_is_bit_identical_across_slices(J, xs, d, dtype):

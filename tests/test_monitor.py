@@ -162,6 +162,17 @@ def test_nan_and_negative_thresholds_are_refused():
     assert StoppingConfig(target_length=0, T0=0).T0 == 0
 
 
+def test_paper_rules_refuse_delta_outside_0_1():
+    """S1's target is (1-delta) times the paper's length: delta <= 0 would
+    put it at or above that curve, and delta >= 1 at or below 0, so S1 would
+    fire at once. Both rules raise for such a delta, NaN included."""
+    for delta in (-0.5, 0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            StoppingConfig.standard(100, 3, 2, eps=0.2, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            StoppingConfig.loose(100, 3, 1, eps=0.2, delta=delta)
+
+
 def test_degree_tracker_counts_all_subsets():
     tr = DegreeTracker(2)
     touched = tr.update((3, 7))
