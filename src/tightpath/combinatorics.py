@@ -160,7 +160,7 @@ def theorem_bounds(
     Subcritical curves (p = (1-eps)p0, need omega > 0):
       lower = (j ln n - omega + 3 ln eps) / (-ln(1-eps))
       upper = (j ln n + omega) / (-ln(1-eps))
-    Supercritical curves (p = (1+eps)p0, need delta > 0):
+    Supercritical curves (p = (1+eps)p0, need 0 < delta < 1):
       lower (j >= 2) = (1-delta) * eps * n / (k-j)^2
       upper          = (1+delta) * 2 * eps * n / (k-j)^2
       loose lower (j = 1 only) = (1-delta) * eps^2 * n / (4 (k-1)^2)
@@ -173,15 +173,15 @@ def theorem_bounds(
     curves: dict[str, float] = {}
 
     if omega is not None:
-        if omega <= 0:
+        if not omega > 0:  # NaN fails too
             raise ValueError(f"omega must be > 0, got {omega}")
         rate = -math.log1p(-eps)
         curves[SUBCRITICAL_LOWER] = (j * math.log(n) - omega + 3 * math.log(eps)) / rate
         curves[SUBCRITICAL_UPPER] = (j * math.log(n) + omega) / rate
 
     if delta is not None:
-        if delta <= 0:
-            raise ValueError(f"delta must be > 0, got {delta}")
+        if not 0 < delta < 1:  # NaN fails too
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
         if j >= 2:
             curves[SUPERCRITICAL_LOWER] = (1 - delta) * eps * n / (k - j) ** 2
         curves[SUPERCRITICAL_UPPER] = (1 + delta) * 2 * eps * n / (k - j) ** 2

@@ -44,6 +44,7 @@ from .combinatorics import (
     SUBCRITICAL_UPPER,
     SUPERCRITICAL_LOWER,
     SUPERCRITICAL_UPPER,
+    structural_params,
     theorem_bounds,
     threshold_p0,
 )
@@ -76,6 +77,7 @@ class SweepSpec:
     enabled: tuple[str, ...] = ("S1", "S2", "S3", "S4")
 
     def __post_init__(self):
+        structural_params(self.k, self.j)  # a bad shape fails here, not as censored trials
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.trials < 0:

@@ -9,9 +9,9 @@ either backend with equal seeds sees identical edges.
 
 select_subsets is the one walk that hashes every m-subset of [n] and keeps
 those whose hash passes a test: generate_explicit keeps the k-sets whose coin
-lands, and the search's neutral j-set stream one hash band. It hashes in
-slices of BLOCK rows, planned by the same run slicer as Candidates' ragged
-runs, so its memory beyond the kept rows is a few slices and O(n).
+lands, and the search's neutral j-set stream one hash band. It walks the
+runs of Candidates((), range(n), m), so its memory beyond the kept rows is
+the C(n-1, m-1) prefix states and run ends and a few BLOCK-row slices.
 
 Also provides a rank-sampling generator for instances whose k-set space is
 too large to enumerate but whose edge list is small (sparse subcritical
@@ -153,29 +153,26 @@ def select_subsets(key: int, n: int, m: int, keep) -> tuple[np.ndarray, np.ndarr
     passes ``keep``, a map from a uint64 hash array to a bool mask; rows is
     an (len, m) int64 array in lexicographic order, h its hashes.
 
-    The walk hashes every m-subset in lexicographic order, in slices of
-    BLOCK rows. The m-subsets that start at vertex u are u followed by the
-    last C(n-1-u, m-1) rows of the lexicographic (m-1)-subset table of
-    range(n), so each row hashes as that tail against the prefix state
-    chain64(key, (u,)), computed once per u: a slice gathers its tails from
-    the table and hashes them against its runs' repeated states. Only the
-    kept rows are built.
+    The walk hashes every m-subset in lexicographic order. With m >= 2 those
+    rows are the runs of ``Candidates((), range(n), m)``: each (m-1)-vertex
+    prefix, hashed once, followed by every later vertex. A slice of BLOCK
+    rows hashes that last vertex against its runs' repeated prefix states.
+    Only the kept rows are built, unranked from their lexicographic index i:
+    the mirror image {n-1-v} of row i has colex rank C(n, m)-1-i.
     """
-    tails = subset_cols(np.arange(n), m - 1) if m > 1 else []
-    end = math.comb(n, m - 1)  # rows of the tail table
-    ends = np.cumsum(_run_lens(n, m))  # rows up to the run of u = 0, 1, ..., n-m
-    pre = chain64_np(key, [np.arange(ends.size)])
-    bufs = [np.empty(min(BLOCK, int(ends[-1])), dtype=np.int64) for _ in tails]
+    if m == 1:
+        h = chain64_np(key, [np.arange(n)])
+        idx = np.flatnonzero(keep(h))
+        return h[idx], idx[:, None]
+    pre, _, starts = Candidates((), np.arange(n, dtype=np.int32), m)._runs(key, (m,))
+    ends = np.cumsum(np.subtract(n, starts, out=starts), out=starts)  # run p: starts[p] .. n-1
     kept = []
-    for first, h, pos in _run_slices(pre, ends, end):
-        if tails:  # take into bufs allocates nothing; mode "raise" would buffer
-            h = chain64_np(h, [np.take(col, pos, out=b[: pos.size], mode="clip")
-                                for col, b in zip(tails, bufs)])
+    for first, states, last in _run_slices(pre, ends, n):  # positions in range(n) are vertices
+        h = chain64_np(states, [last])
         sel = np.flatnonzero(keep(h))
         kept.append((h[sel], first + sel))
     h, idx = map(np.concatenate, zip(*kept))
-    u = np.searchsorted(ends, idx, side="right")
-    return h, np.column_stack([u] + [col[end - ends[u] + idx] for col in tails])
+    return h, n - 1 - unrank_colex(math.comb(n, m) - 1 - idx, m, n)[:, ::-1]
 
 
 @lru_cache(maxsize=None)
@@ -375,8 +372,10 @@ class Candidates(abc.Sequence):
         pre = chain64_np(key, vals).ravel()
         if c[last] == 1:  # the last X vertex takes all of G_t in every run
             return pre, last, None
-        starts = np.searchsorted(self.gaps[last], tab[-1], side="right")  # past each prefix
-        return pre, last, np.tile(starts, pre.size // starts.size)
+        vals, tab = None, tab[-1]  # free the other columns before starts is built
+        starts = np.searchsorted(self.gaps[last], tab, side="right")  # past each prefix
+        reps = pre.size // starts.size
+        return pre, last, starts if reps == 1 else np.tile(starts, reps)  # tile copies even once
 
 
 class ExplicitHypergraph:

@@ -230,7 +230,7 @@ def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> Ora
         rank = sum((cur[c] < cur[-j] for c in range(len(cur) - j + 1, len(cur))), np.zeros_like(lo))
         tail = succ[pos * j + rank[rep]]
         nxt = np.empty((len(cur) + 1, len(rep)), dtype=np.int32)
-        np.take(cur, rep, axis=1, out=nxt[:-1])
+        np.take(cur, rep, axis=1, out=nxt[:-1], mode="clip")  # rep is in range; "raise" buffers out
         nxt[-1] = cand[fresh]
         cur = nxt
 

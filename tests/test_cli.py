@@ -55,6 +55,17 @@ def test_bounds_rejects_bad_eps(capsys):
     assert "error" in err
 
 
+def test_bounds_rejects_bad_delta_or_omega(capsys):
+    """bounds asks of delta and omega what a sweep does: 0 < delta < 1 and
+    omega > 0, so a NaN is refused too."""
+    argv = ("bounds", "-k", "3", "-j", "2", "-n", "1000", "--eps", "0.2")
+    for flag, value in (("--delta", "1.5"), ("--delta", "1"), ("--delta", "nan"),
+                        ("--omega", "nan"), ("--omega", "0")):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (1, ""), (flag, value)
+        assert err.startswith("error: ") and flag[2:] in err and err.count("\n") == 1
+
+
 def test_expectation_output(capsys):
     code, out, _ = run_cli(capsys, "expectation", "-k", "3", "-j", "2", "-n", "7",
                            "-l", "2", "-p", "0.25", "--exact", "--mc", "400",
@@ -204,6 +215,15 @@ def test_sweep_bad_delta_or_omega_exits_1_before_any_trial(tmp_path, capsys):
                                  "--summary", str(tmp_path / "summary.csv"))
         assert (code, out) == (1, "") and not trials.exists()
         assert err.startswith("error: ") and line.split("=")[0] in err and err.count("\n") == 1
+
+
+def test_sweep_bad_shape_exits_1_before_any_trial(tmp_path, capsys):
+    """A (k, j) outside 1 <= j <= k-1 fails at the config, not as censored rows."""
+    trials, cfg = tmp_path / "trials.csv", tmp_path / "sweep.cfg"
+    cfg.write_text("k=3\nj=5\nn=20\neps=0.3\ntrials=2\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(trials))
+    assert (code, out) == (1, "") and not trials.exists()
+    assert err.startswith("error: ") and "tightness j" in err and err.count("\n") == 1
 
 
 def test_run_target_and_t0_need_stopping_none(capsys):

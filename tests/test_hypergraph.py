@@ -212,6 +212,24 @@ def test_select_subsets_keeps_a_few_slices_beyond_the_kept_rows():
         assert peak - (h.nbytes + rows.nbytes) <= 16 * BLOCK * 8 + 64 * n, (n, peak)
 
 
+def test_select_subsets_matches_brute_force():
+    """Every n <= 9 and 1 <= m <= n under keep-all, keep-none and a top-bit
+    band: the rows are the kept itertools.combinations in their order, an
+    (len, m) array even when empty, and h is chain64 of each row."""
+    key = 0x5EED
+    keeps = (lambda h: np.ones(h.shape, dtype=bool), lambda h: np.zeros(h.shape, dtype=bool),
+             lambda h: (h >> np.uint64(62)) == 1)
+    for n in range(1, 10):
+        for m in range(1, n + 1):
+            for keep in keeps:
+                h, rows = select_subsets(key, n, m, keep)
+                want = [J for J in itertools.combinations(range(n), m)
+                        if keep(np.array([chain64(key, J)], dtype=np.uint64))[0]]
+                assert rows.shape == (len(want), m) and h.shape == (len(want),), (n, m)
+                assert [tuple(J) for J in rows.tolist()] == want, (n, m)
+                assert h.tolist() == [chain64(key, J) for J in want], (n, m)
+
+
 def test_bulk_query_wide_vertex_range_fallback():
     # n^k = 255^8 exceeds 2^63, forcing the unpacked membership path
     n, k = 255, 8
