@@ -259,6 +259,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if "oracle-bound" in names and args.n is not None and args.n > 12:  # the exact oracle's reach
         raise ValueError(f"oracle-bound runs at n <= 12, got -n {args.n}")
+    if args.n is not None and args.n <= (k := 3 if args.k is None else args.k):  # p0 needs n > k
+        raise ValueError(f"verify needs -n > k = {k}, got -n {args.n}")
     ok = all(suites[name](args) for name in names)
     return 0 if ok else 1
 

@@ -78,6 +78,8 @@ class SweepSpec:
 
     def __post_init__(self):
         structural_params(self.k, self.j)  # a bad shape fails here, not as censored trials
+        if not all(n > self.k for n in self.n_values):  # p0 needs n > k
+            raise ValueError(f"every n must exceed k = {self.k}, got {self.n_values}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.trials < 0:
@@ -168,15 +170,9 @@ def _run_trial(args) -> TrialRecord:
     n = spec.n_values[n_index]
     eps = spec.eps_values[eps_index]
     seed = trial_seed(spec.master_seed, n_index, eps_index, trial_index)
-    try:
-        p = (1 + eps) * threshold_p0(n, spec.k, spec.j)
-    except ValueError:
-        p = math.nan
+    p = (1 + eps) * threshold_p0(n, spec.k, spec.j)
     base = dict(n=n, k=spec.k, j=spec.j, eps=eps, p=p, seed=seed,
                 trial=trial_index, mode=spec.mode)
-    if math.isnan(p):
-        return _finished(TrialRecord(**base, L=0, censored=True, queries=0, new_starts=0,
-                                     edges=-1, stop_reason="n/a", ms=0.0))
     t0 = time.perf_counter()  # every mode's ms includes building its instance
     try:
         if spec.mode in ("pathfinder_lazy", "pathfinder_explicit"):
@@ -204,13 +200,9 @@ def _run_trial(args) -> TrialRecord:
               file=sys.stderr)
         return TrialRecord(**base, L=0, censored=False, queries=0, new_starts=0,
                            edges=-1, stop_reason="error", ms=0.0)
-    return _finished(TrialRecord(**base, **out, ms=(time.perf_counter() - t0) * 1000.0))
-
-
-def _finished(rec: TrialRecord) -> TrialRecord:
-    """Print the progress line of a finished trial to stderr."""
-    print(f"trial ({rec.n}, {rec.eps}, {rec.trial}): {rec.stop_reason} L={rec.L} ms={rec.ms:.1f}",
-          file=sys.stderr)
+    rec = TrialRecord(**base, **out, ms=(time.perf_counter() - t0) * 1000.0)
+    print(f"trial ({n}, {eps}, {trial_index}): {rec.stop_reason} L={rec.L} ms={rec.ms:.1f}",
+          file=sys.stderr)  # the progress line of a finished trial
     return rec
 
 

@@ -7,11 +7,11 @@ keyed coin on first query, realizing H^k(n,p) under the search's guarantee
 that no k-set is queried twice. Both use the same coin function, so a run on
 either backend with equal seeds sees identical edges.
 
-select_subsets is the one walk that hashes every m-subset of [n] and keeps
-those whose hash passes a test: generate_explicit keeps the k-sets whose coin
-lands, and the search's neutral j-set stream one hash band. It walks the
-runs of Candidates((), range(n), m), so its memory beyond the kept rows is
-the C(n-1, m-1) prefix states and run ends and a few BLOCK-row slices.
+select_subsets is the one walk that hashes every m-subset of [n] and returns
+only the rows whose hash passes a test: generate_explicit keeps the k-sets
+whose coin lands, and the neutral j-set stream one hash band. It walks the
+runs of Candidates((), range(n), m); beyond the kept rows it holds their
+indices, the C(n-1, m-1) prefix states and run ends, and a few BLOCK slices.
 
 Also provides a rank-sampling generator for instances whose k-set space is
 too large to enumerate but whose edge list is small (sparse subcritical
@@ -148,31 +148,27 @@ def _run_slices(pre: np.ndarray, ends: np.ndarray, size: int):
         yield r0, np.repeat(pre[p0 : p1 + 1], lens), pos
 
 
-def select_subsets(key: int, n: int, m: int, keep) -> tuple[np.ndarray, np.ndarray]:
-    """(h, rows) of the m-subsets J of range(n) whose h = chain64(key, J)
-    passes ``keep``, a map from a uint64 hash array to a bool mask; rows is
-    an (len, m) int64 array in lexicographic order, h its hashes.
+def select_subsets(key: int, n: int, m: int, keep) -> np.ndarray:
+    """The m-subsets J of range(n) whose chain64(key, J) passes ``keep``, a
+    map from a uint64 hash array to a bool mask, as one (len, m) int64 array
+    in lexicographic order; the hashes are not kept.
 
     The walk hashes every m-subset in lexicographic order. With m >= 2 those
     rows are the runs of ``Candidates((), range(n), m)``: each (m-1)-vertex
     prefix, hashed once, followed by every later vertex. A slice of BLOCK
-    rows hashes that last vertex against its runs' repeated prefix states.
-    Only the kept rows are built, unranked from their lexicographic index i:
+    rows hashes that last vertex against its runs' repeated prefix states
+    and keeps the indices i of its kept rows, which are built in place:
     the mirror image {n-1-v} of row i has colex rank C(n, m)-1-i.
     """
     if m == 1:
-        h = chain64_np(key, [np.arange(n)])
-        idx = np.flatnonzero(keep(h))
-        return h[idx], idx[:, None]
-    pre, _, starts = Candidates((), np.arange(n, dtype=np.int32), m)._runs(key, (m,))
-    ends = np.cumsum(np.subtract(n, starts, out=starts), out=starts)  # run p: starts[p] .. n-1
-    kept = []
-    for first, states, last in _run_slices(pre, ends, n):  # positions in range(n) are vertices
-        h = chain64_np(states, [last])
-        sel = np.flatnonzero(keep(h))
-        kept.append((h[sel], first + sel))
-    h, idx = map(np.concatenate, zip(*kept))
-    return h, n - 1 - unrank_colex(math.comb(n, m) - 1 - idx, m, n)[:, ::-1]
+        return np.flatnonzero(keep(chain64_np(key, [np.arange(n)])))[:, None]
+    pre, _, ends = Candidates((), np.arange(n, dtype=np.int32), m)._runs(key, (m,))
+    # positions in range(n) are the last vertices themselves
+    idx = np.concatenate([first + np.flatnonzero(keep(chain64_np(states, [last])))
+                          for first, states, last in _run_slices(pre, ends, n)])
+    del pre, ends  # the prefix side is done before the rows are built
+    rows = unrank_colex(np.subtract(math.comb(n, m) - 1, idx, out=idx), m, n)[:, ::-1]
+    return np.subtract(n - 1, rows, out=rows)
 
 
 @lru_cache(maxsize=None)
@@ -192,12 +188,13 @@ def _whole_runs(pre: np.ndarray, g: np.ndarray, dst: np.ndarray):
             yield rows[p : p + pstep, x : x + xstep], pre[p : p + pstep, None], g[None, x : x + xstep]
 
 
-def _ragged_runs(pre: np.ndarray, g: np.ndarray, starts: np.ndarray, dst: np.ndarray,
+def _ragged_runs(pre: np.ndarray, g: np.ndarray, ends: np.ndarray, dst: np.ndarray,
                  tmp: np.ndarray):
     """(slice of dst, states, values) per slice of BLOCK rows of the runs
-    states[p] x G[starts[p]:], g the gap's values plus one; a run may cross
-    slices. A slice's values are gathered from g into tmp."""
-    for r0, states, pos in _run_slices(pre, np.cumsum(g.size - starts), g.size):
+    states[p] x the last ends[p] - ends[p-1] values of G, g the gap's values
+    plus one; a run may cross slices. A slice's values are gathered from g
+    into tmp."""
+    for r0, states, pos in _run_slices(pre, ends, g.size):
         # take into a given array, unlike g[pos], allocates nothing
         yield dst[r0 : r0 + pos.size], states, np.take(g, pos, out=tmp[: pos.size], mode="clip")
 
@@ -328,12 +325,12 @@ class Candidates(abc.Sequence):
         tmp = np.empty(min(BLOCK, self.nrows), dtype=np.uint64)  # mix64 scratch
         buf = None if keep is None else np.empty_like(tmp)  # a slice's hashes, for keep
         for c, lo, sizes in self.blocks:
-            pre, t, starts = self._runs(key, c)
+            pre, t, ends = self._runs(key, c)
             g = np.add(self.gaps[t], 1, dtype=np.uint64, casting="unsafe")  # x + 1 per x
             us = [np.uint64(u + 1) for u in self.J[t:]]
             dst = out[lo : lo + math.prod(sizes)]
-            for part, states, xs1 in (_whole_runs(pre, g, dst) if starts is None
-                                      else _ragged_runs(pre, g, starts, dst, tmp)):
+            for part, states, xs1 in (_whole_runs(pre, g, dst) if ends is None
+                                      else _ragged_runs(pre, g, ends, dst, tmp)):
                 h = part if keep is None else buf[: part.size].reshape(part.shape)
                 tb = tmp[: part.size].reshape(part.shape)
                 np.bitwise_xor(states, xs1, out=h)
@@ -352,12 +349,13 @@ class Candidates(abc.Sequence):
         return self._hashes[key]
 
     def _runs(self, key: int, c) -> tuple:
-        """Block c's rows as runs (states, t, starts): G_t is the last gap
+        """Block c's rows as runs (states, t, ends): G_t is the last gap
         holding an X vertex, and run p is the rows whose K up to its last X
-        vertex hashes to states[p]. That vertex takes the values G_t[starts[p]:]
-        in turn, all of G_t when starts is None, and J's vertices after G_t
-        follow it. The states, in row order, are one hash of the block's rows
-        with G_t's table cut to its first c_t - 1 columns over G_t[:-1]."""
+        vertex hashes to states[p]. That vertex takes the values of a suffix
+        of G_t in turn, all of G_t when ends is None, and J's vertices after
+        G_t follow it; ends[p] is the block's rows up to the end of run p.
+        The states, in row order, are one hash of the block's rows with G_t's
+        table cut to its first c_t - 1 columns over G_t[:-1]."""
         ts = [t for t, ct in enumerate(c) if ct]
         last, vals = ts[-1], list(self.J[: ts[0]])
         ndim = len(ts) - (c[last] == 1)  # a last gap of one X vertex adds no axis
@@ -372,10 +370,12 @@ class Candidates(abc.Sequence):
         pre = chain64_np(key, vals).ravel()
         if c[last] == 1:  # the last X vertex takes all of G_t in every run
             return pre, last, None
-        vals, tab = None, tab[-1]  # free the other columns before starts is built
-        starts = np.searchsorted(self.gaps[last], tab, side="right")  # past each prefix
-        reps = pre.size // starts.size
-        return pre, last, starts if reps == 1 else np.tile(starts, reps)  # tile copies even once
+        vals, tab, g = None, tab[-1], self.gaps[last]  # free the other columns first
+        lens = np.searchsorted(g, tab, side="right")  # past each prefix's last vertex
+        np.subtract(g.size, lens, out=lens)  # so each run's rows
+        reps = pre.size // lens.size
+        ends = lens if reps == 1 else np.tile(lens, reps)  # tile copies even once
+        return pre, last, np.cumsum(ends, out=ends)
 
 
 class ExplicitHypergraph:
@@ -499,7 +499,7 @@ def generate_explicit(
             "use the lazy backend"
         )
     H = LazyHypergraph(n, k, p, seed)
-    _, rows = select_subsets(H.edge_key, n, k, lambda h: coin_mask_np(h, H.threshold))
+    rows = select_subsets(H.edge_key, n, k, lambda h: coin_mask_np(h, H.threshold))
     return ExplicitHypergraph(n, k, rows)
 
 

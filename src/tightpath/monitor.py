@@ -77,8 +77,10 @@ class StoppingConfig:
         budget: Optional[int] = None,
         enabled: Iterable[str] = (S1, S2, S3, S4),
     ) -> "StoppingConfig":
-        """Supercritical run parameters: stop at (1-delta) eps n/(k-j)^2 or
-        after n^(k-j+1)/eps queries."""
+        """Supercritical run parameters for j >= 2: stop at (1-delta) eps
+        n/(k-j)^2 or after n^(k-j+1)/eps queries."""
+        if j == 1:  # S1's curve is theorem_bounds' supercritical_lower_j>=2
+            raise ValueError("standard stopping is defined for j >= 2; use loose at j = 1")
         if not (eps > 0 and 0 < delta < 1):  # NaN fails; S1's target is below the paper's
             raise ValueError(f"standard stopping needs eps > 0 and 0 < delta < 1, got {eps}, {delta}")
         return cls(

@@ -96,7 +96,6 @@ from typing import Optional
 
 import numpy as np
 
-# chain64_np is unused here, but perfbench/tracing.py patches it in this module
 from ._rng import MASK64, chain64, chain64_np, derive_key
 from .combinatorics import JTightPath, StructuralParams, structural_params
 from .hypergraph import Candidates, pack_rows, select_subsets
@@ -161,7 +160,8 @@ class _NeutralStream:
     first band is BAND/C(n, j) of the hash range wide, so a universe of at
     most BAND j-sets is one band; each next band starts where the last ended
     and is 4x wider, so no j-set is yielded twice. A build is one
-    ``hypergraph.select_subsets`` walk that keeps the band's j-sets.
+    ``hypergraph.select_subsets`` walk that keeps the band's j-sets, then
+    one hash of those few rows to order them.
     """
 
     def __init__(self, n: int, j: int, key: int, discovered: set):
@@ -176,7 +176,8 @@ class _NeutralStream:
         lo, self._hi = self._hi, min(self._hi + self._width, 1 << 64)
         self._width *= 4
         low, top = np.uint64(lo), np.uint64(self._hi - 1)  # hi can be 2^64
-        h, rows = select_subsets(self.key, self.n, self.j, lambda h: (h >= low) & (h <= top))
+        rows = select_subsets(self.key, self.n, self.j, lambda h: (h >= low) & (h <= top))
+        h = chain64_np(self.key, list(rows.T))
         # the rows are in lexicographic order, so a stable sort breaks hash ties as J does
         return map(tuple, rows[np.argsort(h, kind="stable")].tolist())
 

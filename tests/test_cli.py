@@ -226,6 +226,25 @@ def test_sweep_bad_shape_exits_1_before_any_trial(tmp_path, capsys):
     assert err.startswith("error: ") and "tightness j" in err and err.count("\n") == 1
 
 
+def test_sweep_n_at_most_k_exits_1_before_any_trial(tmp_path, capsys):
+    """An n <= k has no threshold p0, so the sweep fails at the config, not
+    as a censored row with p = nan."""
+    trials, cfg = tmp_path / "trials.csv", tmp_path / "sweep.cfg"
+    cfg.write_text("k=3\nj=2\nn=3,10\neps=0.3\ntrials=1\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(trials))
+    assert (code, out) == (1, "") and not trials.exists()
+    assert err.startswith("error: ") and "exceed k = 3" in err and err.count("\n") == 1
+
+
+def test_run_standard_stopping_refuses_j_1(capsys):
+    """The standard rule's S1 curve holds for j >= 2, so at j = 1 the run
+    exits 1 with a message naming the loose rule."""
+    code, out, err = run_cli(capsys, "run", "-k", "3", "-j", "1", "-n", "30", "-p", "0.01",
+                             "--stopping", "standard", "--eps", "0.3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "loose" in err and err.count("\n") == 1
+
+
 def test_run_target_and_t0_need_stopping_none(capsys):
     """A named rule sets its own S1/S2 thresholds, so --target or --t0 beside
     it is an error naming the flag, not a value silently ignored; --budget
@@ -446,6 +465,16 @@ def test_verify_oracle_bound_refuses_n_above_its_cap(capsys):
         assert err.startswith("error: ") and "n <= 12" in err and err.count("\n") == 1
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle-bound", "--trials", "1", "-n", "12")
     assert code == 0 and out.startswith("PASS oracle-bound")
+
+
+def test_verify_refuses_n_at_most_k(capsys):
+    """The suites' threshold p0 needs n > k, so -n <= k (k = 3 by default)
+    is an error before any suite prints."""
+    for suite in ("lazy-explicit", "oracle-bound", "all"):
+        for flags in (("-n", "3"), ("-n", "2"), ("-k", "4", "-n", "4")):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", "2", *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and "n > k" in err and err.count("\n") == 1
 
 
 def test_missing_required_values(capsys):

@@ -192,14 +192,12 @@ def test_sampled_subcritical_rows_are_recomputable():
         assert rec.L == longest_path_exact(H, rec.j).length
 
 
-def test_unresolvable_p_yields_a_censored_row():
-    spec = small_spec(n_values=(3,), trials=2)  # n = k: no threshold exists
-    recs = run_sweep(spec)
-    assert len(recs) == 2
-    for rec in recs:
-        assert rec.censored
-        assert math.isnan(rec.p)
-        assert (rec.L, rec.edges, rec.stop_reason) == (0, -1, "n/a")
+def test_sweep_refuses_n_at_most_k():
+    """p0 needs n > k, so an n <= k anywhere in the sweep fails at the spec,
+    before any trial, not as a censored row with p = nan."""
+    for n_values in ((3,), (3, 10), (10, 2)):
+        with pytest.raises(ValueError, match="exceed k = 3"):
+            small_spec(n_values=n_values)
 
 
 def test_trial_errors_are_reported_and_never_censored(monkeypatch, capsys):

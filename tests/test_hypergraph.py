@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tightpath
-from tightpath._rng import BLOCK, chain64
+from tightpath._rng import BLOCK, chain64, chain64_np
 from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
     Candidates,
@@ -196,38 +196,56 @@ def test_bulk_query_keeps_only_the_coin_mask():
 
 def test_select_subsets_keeps_a_few_slices_beyond_the_kept_rows():
     """tracemalloc's peak over a band walk of the 2-subsets of [n], less the
-    kept rows and their hashes, is a fixed number of BLOCK-row slices plus
-    O(n) run states, at two n a factor 4 apart."""
+    kept rows, is a fixed number of BLOCK-row slices plus O(n) run states,
+    at two n a factor 4 apart."""
     key, low, top = 0xBADC0DE, np.uint64(1 << 63), np.uint64((1 << 63) + (1 << 52))
     for n in (2000, 8000):
         tracemalloc.start()
         try:
-            h, rows = select_subsets(key, n, 2, lambda h: (h >= low) & (h <= top))
+            rows = select_subsets(key, n, 2, lambda h: (h >= low) & (h <= top))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.shape == (h.size, 2) and h.size > 0
+        h = chain64_np(key, list(rows.T))
+        assert rows.shape == (h.size, 2) and rows.dtype == np.int64 and h.size > 0
         assert ((h >= low) & (h <= top)).all()
         assert all(int(v) == chain64(key, K) for v, K in zip(h[:50], rows[:50].tolist()))
-        assert peak - (h.nbytes + rows.nbytes) <= 16 * BLOCK * 8 + 64 * n, (n, peak)
+        assert peak - rows.nbytes <= 16 * BLOCK * 8 + 64 * n, (n, peak)
+
+
+@pytest.mark.parametrize("n, m", [(2000, 2), (60, 5)])
+def test_select_subsets_memory_per_kept_row(n, m):
+    """With about half the rows kept (top hash bit clear), tracemalloc's
+    peak beyond the returned rows is at most 48 B per kept row, 24 B per
+    (m-1)-vertex prefix row and a few BLOCK-row slices: no hash and no
+    second copy of a row is kept."""
+    key = 0xFEED ^ m
+    tracemalloc.start()
+    try:
+        rows = select_subsets(key, n, m, lambda h: (h >> np.uint64(63)) == 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape[1] == m and 0.45 < len(rows) / math.comb(n, m) < 0.55
+    assert peak - rows.nbytes <= 48 * len(rows) + 24 * math.comb(n - 1, m - 1) + 16 * BLOCK * 8, (
+        peak - rows.nbytes) / len(rows)
 
 
 def test_select_subsets_matches_brute_force():
     """Every n <= 9 and 1 <= m <= n under keep-all, keep-none and a top-bit
     band: the rows are the kept itertools.combinations in their order, an
-    (len, m) array even when empty, and h is chain64 of each row."""
+    (len, m) int64 array even when empty."""
     key = 0x5EED
     keeps = (lambda h: np.ones(h.shape, dtype=bool), lambda h: np.zeros(h.shape, dtype=bool),
              lambda h: (h >> np.uint64(62)) == 1)
     for n in range(1, 10):
         for m in range(1, n + 1):
             for keep in keeps:
-                h, rows = select_subsets(key, n, m, keep)
+                rows = select_subsets(key, n, m, keep)
                 want = [J for J in itertools.combinations(range(n), m)
                         if keep(np.array([chain64(key, J)], dtype=np.uint64))[0]]
-                assert rows.shape == (len(want), m) and h.shape == (len(want),), (n, m)
+                assert rows.shape == (len(want), m) and rows.dtype == np.int64, (n, m)
                 assert [tuple(J) for J in rows.tolist()] == want, (n, m)
-                assert h.tolist() == [chain64(key, J) for J in want], (n, m)
 
 
 def test_bulk_query_wide_vertex_range_fallback():

@@ -48,6 +48,13 @@ def test_standard_config_formulas():
     assert cfg.budget == 99
 
 
+def test_standard_config_refuses_j_1():
+    """S1's (1-delta) eps n/(k-j)^2 is the paper's curve for j >= 2 only, as
+    loose's is for j = 1 only; the error names the rule to use instead."""
+    with pytest.raises(ValueError, match="loose"):
+        StoppingConfig.standard(30, 3, 1, eps=0.3)
+
+
 def test_loose_config_formulas():
     cfg = StoppingConfig.loose(2000, 3, 1, eps=0.4)
     assert cfg.target_length == 0.5 * 0.4**2 * 2000 / 16

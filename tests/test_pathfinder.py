@@ -406,14 +406,35 @@ def check_candidates(J, xs, d, key=0x5EED):
     return cands
 
 
-def test_candidates_match_combinations_for_every_shape():
-    n = 9
+def every_shape(n=9):
+    """(J, xs, d, key) for every 2 <= k <= 5, 0 <= j < k, J at either end of
+    [n] or spread over it, and xs the rest of [n]."""
     for k in range(2, 6):
         for j in range(0, k):
             for J in [tuple(range(j)), tuple(range(n - j, n)),
                       tuple(range(1, 2 * j, 2)), tuple(range(n - 2 * j, n, 2))]:
-                xs = [v for v in range(n) if v not in J]
-                check_candidates(J, xs, k - j, key=k * 31 + j)
+                yield J, [v for v in range(n) if v not in J], k - j, k * 31 + j
+
+
+def test_candidates_match_combinations_for_every_shape():
+    for J, xs, d, key in every_shape():
+        check_candidates(J, xs, d, key=key)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7])
+def test_candidates_hash_at_tiny_blocks(monkeypatch, block):
+    """Slices of a few rows cut every run, and a gap wider than BLOCK is
+    split by columns: on every shape, hash is scalar chain64 of each row and
+    hash with keep is keep of those hashes."""
+    import tightpath.hypergraph as hg
+
+    monkeypatch.setattr(hg, "BLOCK", block)
+    keep = lambda a: (a & np.uint64(3)) == 0  # noqa: E731
+    for J, xs, d, key in every_shape():
+        cands = Candidates(J, np.array(xs, dtype=np.int32), d)
+        h = cands.hash(key)
+        assert h.tolist() == [chain64(key, cands.row(i)) for i in range(cands.nrows)], (J, d)
+        assert np.array_equal(cands.hash(key, keep), keep(h)), (J, d)
 
 
 def test_candidates_edge_layouts():
