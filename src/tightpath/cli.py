@@ -13,7 +13,9 @@ of the last two cases, and prints errors=k/N or censored=k/N.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from . import combinatorics, experiments, hypergraph, oracle, pathfinder
@@ -57,6 +59,13 @@ def _merge_config(args: argparse.Namespace, argv: list) -> None:
         setattr(args, a.dest, val)
 
 
+def _check_out(*paths) -> None:
+    """Raise, before any work, the error that writing to a missing directory would."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_params(args) -> int:
     p = combinatorics.structural_params(args.k, args.j)
     print(f"k={p.k} j={p.j} a={p.a} b={p.b} s={p.s} r={p.r} batch={p.batch_size}")
@@ -93,6 +102,7 @@ def cmd_expectation(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _check_out(args.out)
     make = hypergraph.sample_explicit if args.sample else hypergraph.generate_explicit
     H = make(args.n, args.k, args.p, seed=args.seed)
     H.write_text(args.out)
@@ -121,6 +131,7 @@ def _build_stopping(args, n: int) -> StoppingConfig | None:
 
 
 def cmd_run(args) -> int:
+    _check_out(args.trace)
     seed = args.seed
     if args.hypergraph:
         for flag, val in (("-n", args.n), ("-p", args.p)):
@@ -173,6 +184,7 @@ def cmd_sweep(args) -> int:
     else:
         print("error: sweep needs --preset or --config", file=sys.stderr)
         return 1
+    _check_out(args.out, args.summary)
     records = experiments.run_sweep(spec, jobs=args.jobs)
     if args.out:
         experiments.write_csv(records, args.out)

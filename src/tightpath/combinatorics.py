@@ -90,7 +90,8 @@ def z_ell(k: int, j: int, ell: int) -> int:
     A class is the set of vertex orderings sharing one edge set. For
     ell >= s+2 the closed form 2/b! * (a! b!)^(ell-s) * ((k-j)!)^(2s) applies
     and is returned as an exact integer. For shorter paths no closed form is
-    asserted; the value is delegated to the brute-force enumerator, which
+    asserted; the value is delegated to ``oracle.z_ell_bruteforce``, which
+    counts the reference path's orderings on the oracle's path walk and
     needs v(ell) <= 11.
     """
     sp = structural_params(k, j)

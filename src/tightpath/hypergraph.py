@@ -401,8 +401,11 @@ class ExplicitHypergraph:
         ):  # report the first bad edge as the per-edge checks do
             for e in edges.tolist() if isinstance(edges, np.ndarray) else edges:
                 _check_canonical(canonical_kset(e), k, n)
-        rows = rows[np.lexsort(rows.T[::-1])]  # lexsort's last key is its primary one
-        self._rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]] if len(rows) else rows
+        step = rows[1:] - rows[:-1]  # rows ascend strictly iff each first nonzero step is > 0
+        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+            rows = rows[np.lexsort(rows.T[::-1])]  # lexsort's last key is its primary one
+            rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        self._rows = rows
 
     @cached_property
     def edges(self) -> frozenset:
@@ -484,18 +487,16 @@ class LazyHypergraph:
         return cands.hash(self.edge_key, keep=partial(coin_mask_np, threshold=self.threshold))
 
 
-def generate_explicit(
-    n: int, k: int, p: float, seed: int, budget: int = ENUMERATION_BUDGET
-) -> ExplicitHypergraph:
+def generate_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
     """Materialize H^k(n,p) by flipping LazyHypergraph's coin for every k-set.
 
-    Refuses when C(n,k) exceeds the enumeration budget; large sparse
-    instances should use LazyHypergraph or sample_explicit instead.
+    Refuses when C(n,k) exceeds ENUMERATION_BUDGET; large sparse instances
+    should use LazyHypergraph or sample_explicit instead.
     """
     total = math.comb(n, k)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"C({n},{k}) = {total} exceeds the enumeration budget {budget}; "
+            f"C({n},{k}) = {total} exceeds the enumeration budget {ENUMERATION_BUDGET}; "
             "use the lazy backend"
         )
     H = LazyHypergraph(n, k, p, seed)

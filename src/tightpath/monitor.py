@@ -73,7 +73,6 @@ class StoppingConfig:
         j: int,
         eps: float,
         delta: float = 0.5,
-        beta: float = 0.1,
         budget: Optional[int] = None,
         enabled: Iterable[str] = (S1, S2, S3, S4),
     ) -> "StoppingConfig":
@@ -81,16 +80,7 @@ class StoppingConfig:
         n/(k-j)^2 or after n^(k-j+1)/eps queries."""
         if j == 1:  # S1's curve is theorem_bounds' supercritical_lower_j>=2
             raise ValueError("standard stopping is defined for j >= 2; use loose at j = 1")
-        if not (eps > 0 and 0 < delta < 1):  # NaN fails; S1's target is below the paper's
-            raise ValueError(f"standard stopping needs eps > 0 and 0 < delta < 1, got {eps}, {delta}")
-        return cls(
-            target_length=(1 - delta) * eps * n / (k - j) ** 2,
-            T0=n ** (k - j + 1) / eps,
-            beta=beta,
-            c_ladder=default_c_ladder(k, j),
-            enabled=frozenset(enabled),
-            budget=budget,
-        )
+        return cls._paper_rule(n, k, j, eps, delta, budget, enabled)
 
     @classmethod
     def loose(
@@ -100,7 +90,6 @@ class StoppingConfig:
         j: int,
         eps: float,
         delta: float = 0.5,
-        beta: float = 0.1,
         budget: Optional[int] = None,
         enabled: Iterable[str] = (S1, S2, S3, S4),
     ) -> "StoppingConfig":
@@ -108,16 +97,21 @@ class StoppingConfig:
         time cap eps n C(n-1, k-1) / (2(k-1))."""
         if j != 1:
             raise ValueError("loose stopping is defined for j = 1")
+        return cls._paper_rule(n, k, j, eps, delta, budget, enabled)
+
+    @classmethod
+    def _paper_rule(cls, n, k, j, eps, delta, budget, enabled) -> "StoppingConfig":
+        """The body of ``standard`` (j >= 2) and ``loose`` (j = 1)."""
         if not (eps > 0 and 0 < delta < 1):  # NaN fails; S1's target is below the paper's
-            raise ValueError(f"loose stopping needs eps > 0 and 0 < delta < 1, got {eps}, {delta}")
-        return cls(
-            target_length=(1 - delta) * eps**2 * n / (4 * (k - 1) ** 2),
-            T0=eps * n * math.comb(n - 1, k - 1) / (2 * (k - 1)),
-            beta=beta,
-            c_ladder=default_c_ladder(k, j),
-            enabled=frozenset(enabled),
-            budget=budget,
-        )
+            rule = "loose" if j == 1 else "standard"
+            raise ValueError(f"{rule} stopping needs eps > 0 and 0 < delta < 1, got {eps}, {delta}")
+        if j == 1:
+            target = (1 - delta) * eps**2 * n / (4 * (k - 1) ** 2)
+            T0 = eps * n * math.comb(n - 1, k - 1) / (2 * (k - 1))
+        else:
+            target, T0 = (1 - delta) * eps * n / (k - j) ** 2, n ** (k - j + 1) / eps
+        return cls(target_length=target, T0=T0, c_ladder=default_c_ladder(k, j),
+                   enabled=frozenset(enabled), budget=budget)
 
     @classmethod
     def unbounded(cls, budget: Optional[int] = None) -> "StoppingConfig":

@@ -2,11 +2,13 @@
 
 Three reference computations that everything else is checked against:
 exact longest j-tight path by exhaustive backtracking (with a node budget
-and an explicit censored flag), exact equivalence-class sizes by permutation
-enumeration, and Monte-Carlo estimation of the expected number of path
-classes. The first two share one depth-first walk over every path, taken in
-the sorted order of the edge rows, so their results depend on the edge set
-alone. A vectorized level-by-level enumerator handles sparse large-n
+and an explicit censored flag), exact equivalence-class sizes z_ell, and
+Monte-Carlo estimation of the expected number of path classes. All three
+count on one depth-first walk over every path, taken in the sorted order of
+the edge rows, so their results depend on the edge set alone: z_ell counts
+the paths of one reference path's own edges, and Monte-Carlo counts classes
+per sample through ``enumerate_path_classes`` (bar ell = 2, read off the
+coin matrix). A vectorized level-by-level enumerator handles sparse large-n
 instances when the overlap leaves one fresh vertex per edge: its paths are
 int32 rows, and a group-id index finds their completions with no search.
 """
@@ -30,42 +32,20 @@ Z_BRUTEFORCE_MAX_V = 11
 def z_ell_bruteforce(k: int, j: int, ell: int) -> int:
     """Count vertex orderings sharing the edge set of a reference path.
 
-    Fixes the path 0,1,...,v-1 and counts permutations whose implied windows
-    reproduce exactly its edge set, by backtracking with a window check as
-    soon as each window completes. Rejects v(ell) > 11 (factorial blowup).
+    Fixes the path 0,1,...,v-1 and counts, on the shared walk, the length-ell
+    paths of the hypergraph made of its ell edges alone. Each such path has
+    ell distinct edges, so its edge set is the whole reference set and the
+    hypergraph holds exactly one class. A length-0 path is a bare j-set, with
+    j! orderings. Rejects v(ell) > 11 (factorial blowup).
     """
     v = path_vertex_count(k, j, ell)
     if v > Z_BRUTEFORCE_MAX_V:
         raise ValueError(f"v(ell) = {v} exceeds the enumeration bound {Z_BRUTEFORCE_MAX_V}")
+    if ell == 0:
+        return math.factorial(j)
     d = k - j
-    reference = {frozenset(range(i * d, i * d + k)) for i in range(ell)}
-
-    count = 0
-    seq: list[int] = []
-    used = [False] * v
-
-    def extend() -> None:
-        nonlocal count
-        pos = len(seq)
-        if pos == v:
-            count += 1
-            return
-        for x in range(v):
-            if used[x]:
-                continue
-            seq.append(x)
-            used[x] = True
-            q = pos + 1
-            ok = True
-            if q >= k and (q - k) % d == 0:
-                ok = frozenset(seq[q - k :]) in reference
-            if ok:
-                extend()
-            seq.pop()
-            used[x] = False
-
-    extend()
-    return count
+    H = ExplicitHypergraph(v, k, [range(i * d, i * d + k) for i in range(ell)])
+    return enumerate_path_classes(H, j, ell)[1]
 
 
 @dataclass
@@ -100,10 +80,11 @@ def longest_path_exact(
     structural_params(k, j)
     if node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
+    levels = k - j == 1 and H.n**j < 2**62
     if method == "auto":
-        method = "levels" if (k - j == 1 and H.n ** j < 2**62) else "dfs"
+        method = "levels" if levels else "dfs"
     if method == "levels":
-        if k - j != 1 or H.n ** j >= 2**62:
+        if not levels:
             raise ValueError("level enumeration requires k-j == 1 and a packable tail")
         return _longest_path_levels(H, j, node_budget)
     if method != "dfs":

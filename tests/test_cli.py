@@ -491,3 +491,22 @@ def test_run_output_is_deterministic(capsys):
     _, out2, _ = run_cli(capsys, *argv)
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("ms=")]
     assert strip(out1) == strip(out2)
+
+
+@pytest.mark.parametrize("work,argv", [
+    ("hypergraph.generate_explicit", ("gen", "-k", "3", "-n", "10", "-p", "0.1", "--out")),
+    ("pathfinder.run", ("run", "-k", "3", "-j", "2", "-n", "20", "-p", "0.05", "--trace")),
+    ("experiments.run_sweep", ("sweep", "--preset", "demo", "--out")),
+    ("experiments.run_sweep", ("sweep", "--preset", "demo", "--summary")),
+])
+def test_unwritable_output_exits_1_before_any_work(tmp_path, capsys, monkeypatch, work, argv):
+    """An output in a missing directory fails as the write would, before the
+    command builds, searches or runs anything."""
+    def started(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(f"tightpath.{work}", started)
+    bad = str(tmp_path / "missing" / "x.out")
+    code, out, err = run_cli(capsys, *argv, bad)
+    assert (code, out) == (1, "") and "trial (" not in err
+    assert err == f"error: [Errno 2] No such file or directory: {bad!r}\n"

@@ -16,6 +16,7 @@ import tightpath
 from tightpath._rng import BLOCK, chain64, chain64_np
 from tightpath.combinatorics import threshold_p0
 from tightpath.hypergraph import (
+    ENUMERATION_BUDGET,
     Candidates,
     EnumerationBudgetError,
     ExplicitHypergraph,
@@ -341,8 +342,9 @@ def test_generate_explicit_chunks_keep_exactly_the_lazy_coins(monkeypatch, n, k,
 
 
 def test_generate_explicit_budget_guard():
-    with pytest.raises(EnumerationBudgetError):
-        generate_explicit(7, 3, 0.5, seed=0, budget=10)
+    assert math.comb(1000, 3) > ENUMERATION_BUDGET  # refused before the walk starts
+    with pytest.raises(EnumerationBudgetError, match="166167000"):
+        generate_explicit(1000, 3, 0.5, seed=0)
 
 
 def test_sample_explicit_valid_and_deterministic():
@@ -487,6 +489,20 @@ def test_edge_array_is_a_sorted_copy():
     assert [tuple(row) for row in arr] == sorted(H.edges)
     arr[:] = 0
     assert H.edge_array().tolist() == sorted(map(list, H.edges))
+
+
+def test_rows_in_any_order_store_the_same_sorted_distinct_rows():
+    """Sorted distinct rows are stored as given; any other order, or a
+    repeated row, is sorted and de-duplicated to the same rows."""
+    rng = np.random.default_rng(5)
+    ksets = np.array(list(itertools.combinations(range(9), 3)))
+    for _ in range(40):
+        rows = ksets[rng.random(len(ksets)) < 0.3]
+        for edges in (rows, rows[::-1], rng.permutation(rows), np.repeat(rows, 2, axis=0),
+                      np.concatenate([rows, rows[-1:]]), rows[:1], rows[:0]):
+            got = ExplicitHypergraph(9, 3, edges).edge_array()
+            assert got.dtype == np.int64 and got.shape[1] == 3
+            assert [tuple(r) for r in got.tolist()] == sorted(set(map(tuple, edges.tolist())))
 
 
 def test_generated_instances_and_text_output_are_pinned(tmp_path):

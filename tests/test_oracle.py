@@ -42,6 +42,23 @@ def test_z_bruteforce_hand_checked_points():
     assert z_ell_bruteforce(4, 2, 2) == 16
 
 
+# z at v(ell) in {10, 11}, recorded from the earlier permutation backtracking;
+# the points with ell < s + 2 have no closed form to check them
+Z_PINS_V10_V11 = {
+    (2, 1, 9): 2, (2, 1, 10): 2, (3, 1, 5): 8, (3, 2, 8): 2, (3, 2, 9): 2,
+    (4, 1, 3): 144, (4, 2, 4): 64, (4, 3, 7): 2, (4, 3, 8): 2, (5, 2, 3): 288,
+    (5, 3, 4): 32, (5, 4, 6): 2, (5, 4, 7): 2, (6, 1, 2): 28800, (6, 2, 2): 2304,
+    (6, 4, 3): 64, (6, 5, 5): 4, (6, 5, 6): 2, (7, 3, 2): 6912, (7, 4, 2): 1728,
+    (7, 5, 3): 192, (7, 6, 4): 48, (7, 6, 5): 12,
+}
+
+
+@pytest.mark.parametrize("k,j,ell", sorted(Z_PINS_V10_V11))
+def test_z_bruteforce_pinned_at_ten_and_eleven_vertices(k, j, ell):
+    assert path_vertex_count(k, j, ell) in (10, 11)
+    assert z_ell_bruteforce(k, j, ell) == Z_PINS_V10_V11[k, j, ell]
+
+
 def test_z_bruteforce_rejects_large_paths():
     assert path_vertex_count(6, 2, 3) > 11
     with pytest.raises(ValueError):
