@@ -68,15 +68,18 @@ def _check_canonical(K: Sequence[int], k: int, n: int) -> None:
 def unrank_colex(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
     """Map colex ranks to sorted m-sets over [0, n); returns shape (len, m).
 
-    The m-set {c_1 < ... < c_m} has colex rank sum_i C(c_i, i).
+    The m-set {c_1 < ... < c_m} has colex rank sum_i C(c_i, i). Ranks are
+    unranked in slices of BLOCK rows, so beyond its output it holds O(BLOCK).
     """
-    rem = np.asarray(ranks, dtype=np.int64).copy()
-    cols = np.empty((rem.shape[0], m), dtype=np.int64)
-    for i in range(m, 0, -1):
-        table = np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)  # C(c, i)
-        c = np.searchsorted(table, rem, side="right") - 1
-        cols[:, i - 1] = c
-        rem -= table[c]
+    ranks = np.asarray(ranks)
+    cols = np.empty((ranks.shape[0], m), dtype=np.int64)
+    tables = [np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64) for i in range(m + 1)]
+    for r0 in range(0, len(ranks), BLOCK):
+        rem = ranks[r0 : r0 + BLOCK].astype(np.int64)
+        for i in range(m, 0, -1):  # tables[i][c] = C(c, i)
+            c = np.searchsorted(tables[i], rem, side="right") - 1
+            cols[r0 : r0 + BLOCK, i - 1] = c
+            rem -= tables[i][c]
     return cols
 
 

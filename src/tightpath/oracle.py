@@ -10,7 +10,9 @@ the paths of one reference path's own edges, and Monte-Carlo counts classes
 per sample through ``enumerate_path_classes`` (bar ell = 2, read off the
 coin matrix). A vectorized level-by-level enumerator handles sparse large-n
 instances when the overlap leaves one fresh vertex per edge: its paths are
-int32 rows, and a group-id index finds their completions with no search.
+int32 rows, a group-id index of int32 entries finds their completions with
+no search, and each level is extended in slices of BLOCK rows, so its peak
+is about 40 B per level-1 row at (3, 2).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ._rng import chain64_np, coin_mask_np, coin_threshold, derive_key
+from ._rng import BLOCK, chain64_np, coin_mask_np, coin_threshold, derive_key
 from .combinatorics import JTightPath, path_vertex_count, structural_params
 from .hypergraph import ExplicitHypergraph, pack_rows
 
@@ -164,59 +166,82 @@ def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> Ora
     row carries the group id of its tail, so its completions are two gathers
     from ``gstart``. Extending a row by entry i drops the oldest tail vertex,
     which is the t-th smallest of the tail; the new tail's group is
-    ``succ[i*j + t]``, tabulated once per entry.
+    ``succ[i, t]``, tabulated once per entry. The index is int32 whenever
+    its m*k entries allow. A level is extended in slices of BLOCK rows, each
+    with its own candidates, and the slices' rows are joined in order, so
+    memory follows the rows of two levels, not a level's candidates: about
+    40 B per level-1 row at (3, 2).
     """
     k, n = H.k, H.n
     arr = H.edge_array()
     m = len(arr)
     if m == 0:
         return OracleResult(0, JTightPath(k, j, tuple(range(j))), False, 0)
+    idx = np.int32 if m * k < 2**31 else np.int64
     keys = np.concatenate([pack_rows([arr[:, c] for c in range(k) if c != d], n) for d in range(k)])
     order = np.argsort(keys, kind="stable")
     first = np.r_[True, np.diff(keys[order]) != 0]
-    gstart = np.append(np.flatnonzero(first), m * k)
-    grp = np.empty(m * k, dtype=np.int64)
+    del keys
+    gstart = np.append(np.flatnonzero(first), m * k).astype(idx)
+    grp = np.empty(m * k, dtype=idx)
     grp[order] = np.cumsum(first) - 1
     vals = arr.T.ravel()[order].astype(np.int32)
     e, d = order[:, None] % m, order[:, None] // m  # edge and dropped position of each entry
+    del order, first
     t = np.arange(j)  # the t-th smallest vertex of edge e less e[d] is e[t + (t >= d)]
-    succ = grp[(t + (t >= d)) * m + e].ravel()
+    succ = grp[(t + (t >= d)) * m + e]
+    del d, e
 
     # level 1: every ordered j-tail of every edge, head vertex first
     perms = [(*(c for c in range(k) if c not in tl), *tl) for tl in permutations(range(k), j)]
-    cur = np.concatenate([arr[:, p] for p in perms]).T.astype(np.int32)
-    tail = np.concatenate([grp[p[0] * m : (p[0] + 1) * m] for p in perms])
+    cur = np.empty((k, len(perms) * m), dtype=np.int32)
+    for i, p in enumerate(perms):
+        cur[:, i * m : (i + 1) * m] = arr[:, p].T
+    tail = grp.reshape(k, m)[[p[0] for p in perms]].ravel()
+    del arr, grp
     nodes = cur.shape[1]
     censored = False
     while True:
-        lo = gstart[tail]
-        counts = gstart[tail + 1] - lo
-        total = int(counts.sum())
+        total = int(np.diff(gstart)[tail].sum())
         if total == 0:
             break
         if nodes + total > node_budget:
             censored = True
             break
         nodes += total
-        rep = np.repeat(np.arange(len(counts)), counts)
-        pos = np.arange(total) + (lo - np.cumsum(counts) + counts)[rep]
-        cand = vals[pos]
-        fresh = np.ones(total, dtype=bool)
-        for c in range(len(cur) - j):  # the tail completes to cand's edge, so never holds cand
-            fresh &= cur[c][rep] != cand
-        if not fresh.any():
+        parts = [_extend_rows(cur[:, r0 : r0 + BLOCK], tail[r0 : r0 + BLOCK], gstart, vals, succ)
+                 for r0 in range(0, len(tail), BLOCK)]
+        if not any(rows.shape[1] for rows, _ in parts):
             break
-        rep, pos = rep[fresh], pos[fresh]
-        # the oldest tail vertex's rank t within the sorted tail, per row
-        rank = sum((cur[c] < cur[-j] for c in range(len(cur) - j + 1, len(cur))), np.zeros_like(lo))
-        tail = succ[pos * j + rank[rep]]
-        nxt = np.empty((len(cur) + 1, len(rep)), dtype=np.int32)
-        np.take(cur, rep, axis=1, out=nxt[:-1], mode="clip")  # rep is in range; "raise" buffers out
-        nxt[-1] = cand[fresh]
-        cur = nxt
+        del cur, tail  # the level is done before the next one is joined
+        cur, tail = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        del parts
 
     witness = JTightPath(k, j, tuple(cur[:, 0].tolist()))
     return OracleResult(witness.ell, witness, censored, nodes)
+
+
+def _extend_rows(cur: np.ndarray, tail: np.ndarray, gstart: np.ndarray, vals: np.ndarray,
+                 succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fresh one-edge extensions of the paths ``cur`` (one column per
+    position) whose tails have group ids ``tail``, in row order, and their
+    tails' group ids."""
+    j = succ.shape[1]
+    lo = gstart[tail]
+    counts = gstart[tail + 1] - lo
+    rep = np.repeat(np.arange(len(counts)), counts)
+    pos = np.arange(rep.size) + (lo - np.cumsum(counts) + counts)[rep]
+    cand = vals[pos]
+    fresh = np.ones(rep.size, dtype=bool)
+    for c in range(len(cur) - j):  # the tail completes to cand's edge, so never holds cand
+        fresh &= cur[c][rep] != cand
+    rep, pos = rep[fresh], pos[fresh]
+    # the oldest tail vertex's rank t within the sorted tail, per row
+    rank = sum((cur[c] < cur[-j] for c in range(len(cur) - j + 1, len(cur))), np.zeros_like(lo))
+    nxt = np.empty((len(cur) + 1, rep.size), dtype=np.int32)
+    np.take(cur, rep, axis=1, out=nxt[:-1], mode="clip")  # rep is in range; "raise" buffers out
+    nxt[-1] = cand[fresh]
+    return nxt, succ[pos, rank[rep]]
 
 
 def enumerate_path_classes(H: ExplicitHypergraph, j: int, ell: int) -> tuple[int, int]:

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,7 +176,7 @@ def test_candidates_hash_is_bit_identical_across_slices(J, xs, d, dtype):
     assert mask.dtype == bool and np.array_equal(mask, keep(h))
 
 
-def test_bulk_query_keeps_only_the_coin_mask():
+def test_bulk_query_keeps_only_the_coin_mask(traced_peak):
     """tracemalloc's peak over a lazy bulk_query of a (3, 1)-shaped Candidates
     is the one-byte mask, a fixed number of hash slices, and O(|xs|) run
     states, at two n a factor 2 apart."""
@@ -185,28 +184,18 @@ def test_bulk_query_keeps_only_the_coin_mask():
         xs = np.array([v for v in range(n) if v != n // 2], dtype=np.int32)
         cands = Candidates((n // 2,), xs, 2)
         H = LazyHypergraph(n, 3, 0.01, seed=3)
-        tracemalloc.start()
-        try:
-            mask = H.bulk_query(cands)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        mask, peak = traced_peak(H.bulk_query, cands)
         assert mask.dtype == bool and mask.size == cands.nrows
         assert peak <= cands.nrows + 8 * BLOCK * 8 + 64 * xs.size, (n, peak)
 
 
-def test_select_subsets_keeps_a_few_slices_beyond_the_kept_rows():
+def test_select_subsets_keeps_a_few_slices_beyond_the_kept_rows(traced_peak):
     """tracemalloc's peak over a band walk of the 2-subsets of [n], less the
     kept rows, is a fixed number of BLOCK-row slices plus O(n) run states,
     at two n a factor 4 apart."""
     key, low, top = 0xBADC0DE, np.uint64(1 << 63), np.uint64((1 << 63) + (1 << 52))
     for n in (2000, 8000):
-        tracemalloc.start()
-        try:
-            rows = select_subsets(key, n, 2, lambda h: (h >= low) & (h <= top))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(select_subsets, key, n, 2, lambda h: (h >= low) & (h <= top))
         h = chain64_np(key, list(rows.T))
         assert rows.shape == (h.size, 2) and rows.dtype == np.int64 and h.size > 0
         assert ((h >= low) & (h <= top)).all()
@@ -215,18 +204,13 @@ def test_select_subsets_keeps_a_few_slices_beyond_the_kept_rows():
 
 
 @pytest.mark.parametrize("n, m", [(2000, 2), (60, 5)])
-def test_select_subsets_memory_per_kept_row(n, m):
+def test_select_subsets_memory_per_kept_row(traced_peak, n, m):
     """With about half the rows kept (top hash bit clear), tracemalloc's
     peak beyond the returned rows is at most 48 B per kept row, 24 B per
     (m-1)-vertex prefix row and a few BLOCK-row slices: no hash and no
     second copy of a row is kept."""
     key = 0xFEED ^ m
-    tracemalloc.start()
-    try:
-        rows = select_subsets(key, n, m, lambda h: (h >> np.uint64(63)) == 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(select_subsets, key, n, m, lambda h: (h >> np.uint64(63)) == 0)
     assert rows.shape[1] == m and 0.45 < len(rows) / math.comb(n, m) < 0.55
     assert peak - rows.nbytes <= 48 * len(rows) + 24 * math.comb(n - 1, m - 1) + 16 * BLOCK * 8, (
         peak - rows.nbytes) / len(rows)
@@ -322,6 +306,21 @@ def test_unrank_colex_orders_by_reversed_tuple():
     # rank identity: rank(S) = sum_i C(c_i, i), 1-indexed positions
     for r, S in enumerate(expected):
         assert r == sum(math.comb(c, i + 1) for i, c in enumerate(S))
+
+
+def test_unrank_colex_holds_a_few_slices_beyond_its_output(traced_peak):
+    """tracemalloc's peak over unranking sorted random ranks at (104, 5),
+    less the output, is three int64 slices of BLOCK rows (the remainders,
+    the searchsorted column and its table gather) plus the C(c, i) tables,
+    at two sizes a factor 4 apart: no per-row copy of the ranks."""
+    n, m = 104, 5
+    for size in (300_000, 1_200_000):
+        ranks = np.sort(np.random.default_rng(size).integers(0, math.comb(n, m), size))
+        cols, peak = traced_peak(unrank_colex, ranks, m, n)
+        assert cols.shape == (size, m) and cols.dtype == np.int64
+        for r, S in zip(ranks[::9973].tolist(), cols[::9973].tolist()):
+            assert r == sum(math.comb(c, i + 1) for i, c in enumerate(S)) and S == sorted(set(S))
+        assert peak - cols.nbytes <= 32 * BLOCK + 16 * (m + 1) * (n + 1), (size, peak - cols.nbytes)
 
 
 @pytest.mark.parametrize("block", [5, 64, None])

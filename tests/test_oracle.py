@@ -7,6 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from tightpath import oracle
+from tightpath._rng import BLOCK
 from tightpath.combinatorics import JTightPath, path_vertex_count, threshold_p0, z_ell
 from tightpath.hypergraph import ExplicitHypergraph, generate_explicit, sample_explicit
 from tightpath.oracle import (
@@ -252,6 +254,29 @@ def test_censored_levels_run_counts_level_one_whole():
         assert (res.censored, res.nodes) == (True, 138), budget
     full = longest_path_exact(H, 2, method="levels")
     assert not full.censored and full.nodes > 138
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_levels_oracle_is_unchanged_across_slice_boundaries(monkeypatch, block):
+    """Slices of 1, 3 and 64 source rows cut every level, so the pins (censored
+    ones included), the DFS agreement and level one's censored count must
+    hold as at the default BLOCK."""
+    monkeypatch.setattr(oracle, "BLOCK", block)
+    test_levels_oracle_outputs_are_pinned()
+    test_dfs_and_levels_agree()
+    test_censored_levels_run_counts_level_one_whole()
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_levels_oracle_memory_follows_its_rows(traced_peak, n):
+    """tracemalloc's peak over the levels oracle beyond H, at (3, 2) and
+    c = 0.7, is at most 64 B per level-1 row (6 m of them) plus 64 B per
+    source row of one BLOCK-row slice: no index array is sized by a level's
+    candidates."""
+    H = sample_explicit(n, 3, 0.7 * threshold_p0(n, 3, 2), seed=7)
+    res, peak = traced_peak(longest_path_exact, H, 2, 5_000_000, "levels")
+    assert not res.censored and res.nodes > 6 * H.edge_count
+    assert peak <= 64 * 6 * H.edge_count + 64 * BLOCK, peak / (6 * H.edge_count)
 
 
 def test_longest_path_relabel_invariant():
