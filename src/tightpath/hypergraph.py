@@ -454,7 +454,10 @@ class ExplicitHypergraph:
     @classmethod
     def read_text(cls, path: str) -> "ExplicitHypergraph":
         with open(path) as fh:
-            n, k = map(int, fh.readline().split())
+            head = fh.readline().split()
+            if len(head) != 2:
+                raise ValueError(f"{path} lacks its 'n k' header line")
+            n, k = map(int, head)
             edges = [tuple(map(int, line.split())) for line in fh if line.strip()]
         return cls(n, k, edges)
 

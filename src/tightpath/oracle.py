@@ -10,9 +10,9 @@ the paths of one reference path's own edges, and Monte-Carlo counts classes
 per sample through ``enumerate_path_classes`` (bar ell = 2, read off the
 coin matrix). A vectorized level-by-level enumerator handles sparse large-n
 instances when the overlap leaves one fresh vertex per edge: its paths are
-int32 rows, a group-id index of int32 entries finds their completions with
-no search, and each level is extended in slices of BLOCK rows, so its peak
-is about 40 B per level-1 row at (3, 2).
+int32 rows that carry the index entry they came through, which finds their
+completions with no search and skips the edge each just used, and each level
+is extended in slices of BLOCK rows: about 44 B per level-1 row at (3, 2).
 """
 
 from __future__ import annotations
@@ -74,20 +74,21 @@ def longest_path_exact(
     past level 1 it stays at most node_budget. A negative node_budget raises
     ValueError.
 
-    method: "auto" picks the vectorized level enumerator when k-j == 1 and
-    the tail space packs into 62 bits, otherwise the recursive search; "dfs"
-    and "levels" force one.
+    method: "auto" picks the vectorized level enumerator when k-j == 1, the
+    tail space packs into 62 bits and n < 2**31, otherwise the recursive
+    search; "dfs" and "levels" force one.
     """
     k = H.k
     structural_params(k, j)
     if node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
-    levels = k - j == 1 and H.n**j < 2**62
+    levels = k - j == 1 and H.n**j < 2**62 and H.n < 2**31
     if method == "auto":
         method = "levels" if levels else "dfs"
     if method == "levels":
         if not levels:
-            raise ValueError("level enumeration requires k-j == 1 and a packable tail")
+            raise ValueError("level enumeration requires k-j == 1, a packable tail "
+                             "and n < 2**31 for its int32 vertex columns")
         return _longest_path_levels(H, j, node_budget)
     if method != "dfs":
         raise ValueError(f"unknown method: {method}")
@@ -163,14 +164,15 @@ def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> Ora
     stored one column per position. Entry d*m + e of the completion index is
     edge e less its d-th vertex: the entries are sorted by that packed j-set,
     and each run of equal j-sets is a group listed from ``gstart[g]``. Every
-    row carries the group id of its tail, so its completions are two gathers
-    from ``gstart``. Extending a row by entry i drops the oldest tail vertex,
-    which is the t-th smallest of the tail; the new tail's group is
-    ``succ[i, t]``, tabulated once per entry. The index is int32 whenever
-    its m*k entries allow. A level is extended in slices of BLOCK rows, each
-    with its own candidates, and the slices' rows are joined in order, so
-    memory follows the rows of two levels, not a level's candidates: about
-    40 B per level-1 row at (3, 2).
+    row carries ``came``, the sorted entry it came through (at level 1, its
+    edge less its head), whose group ``gid[came]`` is its tail. Its
+    completions are that group less ``came``, whose vertex is the one just
+    before the tail; ``came`` still counts as a node. Extending a row by
+    entry i drops the t-th smallest tail vertex, and the new row came through
+    ``back[i, t]``, tabulated per entry. The index is int32 whenever its m*k
+    entries allow. A level is extended in slices of BLOCK rows, each with
+    its own candidates, and joined in order, so memory follows the rows of
+    two levels: about 44 B per level-1 row at (3, 2).
     """
     k, n = H.k, H.n
     arr = H.edge_array()
@@ -183,13 +185,14 @@ def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> Ora
     first = np.r_[True, np.diff(keys[order]) != 0]
     del keys
     gstart = np.append(np.flatnonzero(first), m * k).astype(idx)
-    grp = np.empty(m * k, dtype=idx)
-    grp[order] = np.cumsum(first) - 1
+    gid = (np.cumsum(first) - 1).astype(idx)
+    inv = np.empty(m * k, dtype=idx)
+    inv[order] = np.arange(m * k, dtype=idx)
     vals = arr.T.ravel()[order].astype(np.int32)
     e, d = order[:, None] % m, order[:, None] // m  # edge and dropped position of each entry
     del order, first
     t = np.arange(j)  # the t-th smallest vertex of edge e less e[d] is e[t + (t >= d)]
-    succ = grp[(t + (t >= d)) * m + e]
+    back = inv[(t + (t >= d)) * m + e]
     del d, e
 
     # level 1: every ordered j-tail of every edge, head vertex first
@@ -197,43 +200,47 @@ def _longest_path_levels(H: ExplicitHypergraph, j: int, node_budget: int) -> Ora
     cur = np.empty((k, len(perms) * m), dtype=np.int32)
     for i, p in enumerate(perms):
         cur[:, i * m : (i + 1) * m] = arr[:, p].T
-    tail = grp.reshape(k, m)[[p[0] for p in perms]].ravel()
-    del arr, grp
+    came = inv.reshape(k, m)[[p[0] for p in perms]].ravel()
+    del arr, inv
     nodes = cur.shape[1]
     censored = False
     while True:
-        total = int(np.diff(gstart)[tail].sum())
+        slices = [slice(r0, r0 + BLOCK) for r0 in range(0, len(came), BLOCK)]
+        # came's entry is a node too; sliced, so no temporary is sized by the rows
+        total = sum(int(gstart[g + 1].sum() - gstart[g].sum())
+                    for g in (gid[came[s]] for s in slices))
         if total == 0:
             break
         if nodes + total > node_budget:
             censored = True
             break
         nodes += total
-        parts = [_extend_rows(cur[:, r0 : r0 + BLOCK], tail[r0 : r0 + BLOCK], gstart, vals, succ)
-                 for r0 in range(0, len(tail), BLOCK)]
+        parts = [_extend_rows(cur[:, s], came[s], gid, gstart, vals, back) for s in slices]
         if not any(rows.shape[1] for rows, _ in parts):
             break
-        del cur, tail  # the level is done before the next one is joined
-        cur, tail = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        del cur, came  # the level is done before the next one is joined
+        cur, came = (np.concatenate(a, axis=-1) for a in zip(*parts))
         del parts
 
     witness = JTightPath(k, j, tuple(cur[:, 0].tolist()))
     return OracleResult(witness.ell, witness, censored, nodes)
 
 
-def _extend_rows(cur: np.ndarray, tail: np.ndarray, gstart: np.ndarray, vals: np.ndarray,
-                 succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _extend_rows(cur: np.ndarray, came: np.ndarray, gid: np.ndarray, gstart: np.ndarray,
+                 vals: np.ndarray, back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fresh one-edge extensions of the paths ``cur`` (one column per
-    position) whose tails have group ids ``tail``, in row order, and their
-    tails' group ids."""
-    j = succ.shape[1]
-    lo = gstart[tail]
-    counts = gstart[tail + 1] - lo
+    position) that came through entries ``came``, in row order, and the
+    entries they came through."""
+    j = back.shape[1]
+    g = gid[came]
+    lo = gstart[g]
+    counts = gstart[g + 1] - lo - 1  # every completion but the entry ``came``
     rep = np.repeat(np.arange(len(counts)), counts)
     pos = np.arange(rep.size) + (lo - np.cumsum(counts) + counts)[rep]
+    pos += pos >= came[rep]
     cand = vals[pos]
     fresh = np.ones(rep.size, dtype=bool)
-    for c in range(len(cur) - j):  # the tail completes to cand's edge, so never holds cand
+    for c in range(len(cur) - j - 1):  # no cand is in the tail; only came's is the vertex before
         fresh &= cur[c][rep] != cand
     rep, pos = rep[fresh], pos[fresh]
     # the oldest tail vertex's rank t within the sorted tail, per row
@@ -241,7 +248,7 @@ def _extend_rows(cur: np.ndarray, tail: np.ndarray, gstart: np.ndarray, vals: np
     nxt = np.empty((len(cur) + 1, rep.size), dtype=np.int32)
     np.take(cur, rep, axis=1, out=nxt[:-1], mode="clip")  # rep is in range; "raise" buffers out
     nxt[-1] = cand[fresh]
-    return nxt, succ[pos, rank[rep]]
+    return nxt, back[pos, rank[rep]]
 
 
 def enumerate_path_classes(H: ExplicitHypergraph, j: int, ell: int) -> tuple[int, int]:

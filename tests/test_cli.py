@@ -103,6 +103,16 @@ def test_gen_run_oracle_roundtrip(tmp_path, capsys):
     assert int(stats["max_ell"]) <= length
 
 
+@pytest.mark.parametrize("text", ["", "\n", "12\n0 1 2\n"])
+def test_a_file_without_its_header_exits_1_with_one_line(tmp_path, capsys, text):
+    hpath = tmp_path / "h.txt"
+    hpath.write_text(text)
+    for cmd in ("oracle", "run"):
+        code, out, err = run_cli(capsys, cmd, "--hypergraph", str(hpath), "-j", "2")
+        assert (code, out) == (1, "")
+        assert "lacks its 'n k' header" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("p", ["1.5", "-0.2", "nan"])
 def test_gen_sample_rejects_a_bad_probability(tmp_path, capsys, p):
     code, out, err = run_cli(capsys, "gen", "--sample", "-k", "3", "-n", "6", "-p", p,

@@ -229,6 +229,17 @@ def test_method_validation():
         longest_path_exact(H, 2, method="bogus")
 
 
+def test_levels_oracle_refuses_vertices_past_int32():
+    """At n >= 2**31 the levels oracle's int32 vertex columns would wrap, so
+    auto falls back to the DFS and a forced "levels" raises."""
+    n = 3 * 10**9
+    H = ExplicitHypergraph(n, 2, [(0, 5), (5, n - 1)])
+    res = longest_path_exact(H, 1)
+    assert (res.length, res.witness.vertices, res.censored) == (2, (0, 5, n - 1), False)
+    with pytest.raises(ValueError, match="int32 vertex columns"):
+        longest_path_exact(H, 1, method="levels")
+
+
 def test_node_budget_censors():
     H = complete_hypergraph(7, 3)
     res = longest_path_exact(H, 2, node_budget=1)
@@ -265,6 +276,20 @@ def test_levels_oracle_is_unchanged_across_slice_boundaries(monkeypatch, block):
     test_levels_oracle_outputs_are_pinned()
     test_dfs_and_levels_agree()
     test_censored_levels_run_counts_level_one_whole()
+
+
+@pytest.mark.parametrize("block", [1, 3, BLOCK])
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 5), (3, 8), (4, 7), (5, 7)])
+def test_levels_oracle_counts_the_entry_it_skips(monkeypatch, block, k, n):
+    """On the complete k-graph with j = k - 1 every vertex sequence is a path
+    and every group holds n - j entries, so the entry a row came through sits
+    at each position of its group. Its completion is never fresh and is
+    skipped, but every row still counts all n - j completions as nodes."""
+    monkeypatch.setattr(oracle, "BLOCK", block)
+    res = longest_path_exact(complete_hypergraph(n, k), k - 1, method="levels")
+    nodes = math.perm(n, k) + (n - k + 1) * sum(math.perm(n, v) for v in range(k, n + 1))
+    assert (res.length, res.nodes, res.censored) == (n - k + 1, nodes, False)
+    assert res.witness.ell == res.length and sorted(res.witness.vertices) == list(range(n))
 
 
 @pytest.mark.parametrize("n", [300, 600])
