@@ -31,11 +31,9 @@ from .hypergraph import (
 )
 from .monitor import (
     DegreeTracker,
-    ForbiddenCounters,
     Monitor,
     StoppingConfig,
     default_c_ladder,
-    forbidden_counts,
 )
 from .oracle import (
     OracleResult,
@@ -48,16 +46,12 @@ from .pathfinder import (
     PathFinder,
     RunTrace,
     activate_batch,
-    allowed_candidates,
-    replay_trace,
-    retreat,
     run,
 )
 
 __all__ = [
     "DegreeTracker",
     "ExplicitHypergraph",
-    "ForbiddenCounters",
     "JTightPath",
     "LazyHypergraph",
     "Monitor",
@@ -72,19 +66,15 @@ __all__ = [
     "TrialRecord",
     "activate_batch",
     "aggregate",
-    "allowed_candidates",
     "default_c_ladder",
     "enumerate_path_classes",
     "expectation_monte_carlo",
     "expected_path_classes",
-    "forbidden_counts",
     "generate_explicit",
     "longest_path_exact",
     "partition_path",
     "path_vertex_count",
     "read_csv",
-    "replay_trace",
-    "retreat",
     "run",
     "run_sweep",
     "sample_explicit",

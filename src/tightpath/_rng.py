@@ -20,6 +20,7 @@ pass of the chain over one slice before moving on to the next.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ def chain64(key: int, values: Iterable[int]) -> int:
 
 def derive_key(seed: int, label: str) -> int:
     """Domain-separated subkey: distinct labels give independent streams."""
-    h = mix64(seed & MASK64)
+    h = mix64(operator.index(seed) & MASK64)
     for b in label.encode("utf-8"):
         h = mix64(h ^ (b + 1))
     return mix64(h ^ GOLDEN)

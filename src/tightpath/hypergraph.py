@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from collections import abc
@@ -391,19 +392,23 @@ class ExplicitHypergraph:
     """
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
+        n, k = operator.index(n), operator.index(k)
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         self.n = n
         self.k = k
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
         rows = np.empty((0, k), dtype=np.int64)
-        with contextlib.suppress(ValueError, OverflowError):  # ragged, or beyond int64
-            rows = np.array(edges, dtype=np.int64) if len(edges) else rows
-        if rows.shape != (len(edges), k) or len(rows) and (
+        with contextlib.suppress(ValueError):  # ragged
+            rows = np.array(edges) if len(edges) else rows
+        if rows.dtype.kind not in "iu" or rows.shape != (len(edges), k) or len(rows) and (
             rows[:, 0].min() < 0 or rows[:, -1].max() >= n or (rows[:, 1:] <= rows[:, :-1]).any()
         ):  # report the first bad edge as the per-edge checks do
             for e in edges.tolist() if isinstance(edges, np.ndarray) else edges:
+                if not all(isinstance(v, numbers.Integral) for v in e):
+                    raise ValueError(f"vertices must be integers: {tuple(e)}")
                 _check_canonical(canonical_kset(e), k, n)
+        rows = rows.astype(np.int64, copy=False)
         step = rows[1:] - rows[:-1]  # rows ascend strictly iff each first nonzero step is > 0
         if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
             rows = rows[np.lexsort(rows.T[::-1])]  # lexsort's last key is its primary one
@@ -473,6 +478,7 @@ class LazyHypergraph:
     """
 
     def __init__(self, n: int, k: int, p: float, seed: int):
+        n, k, seed = operator.index(n), operator.index(k), operator.index(seed)
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         self.n = n
@@ -484,7 +490,7 @@ class LazyHypergraph:
 
     def query_edge(self, K: Sequence[int]) -> bool:
         _check_canonical(K, self.k, self.n)
-        return chain64(self.edge_key, K) < self.threshold
+        return chain64(self.edge_key, map(int, K)) < self.threshold
 
     def bulk_query(self, cands: Candidates) -> np.ndarray:
         """Coin mask of every K of a Candidates, in its row order. The coins

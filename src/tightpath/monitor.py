@@ -11,20 +11,14 @@ S3 and S4 compare a quantity that only moves on discovery events against a
 threshold that is increasing in t, so checking them exactly at discovery
 events (and S4 only for the i-sets just touched) is equivalent to checking
 after every query.
-
-Also provides the forbidden-extension counters: the exact type-1 count and
-its a-priori bound, and the degree-based upper bound plus optional exact
-enumeration for type-2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
-
-from .combinatorics import structural_params
 
 S1, S2, S3, S4 = "S1", "S2", "S3", "S4"
 EXHAUSTED = "exhausted"
@@ -213,52 +207,3 @@ class Monitor:
                     return S4
         return None
 
-
-@dataclass(frozen=True)
-class ForbiddenCounters:
-    f1: int
-    f1_bound: int
-    f2_bound: float
-    f2_exact: Optional[int] = None
-
-    def __post_init__(self):
-        assert self.f1 <= self.f1_bound
-        if self.f2_exact is not None:
-            assert self.f2_exact <= self.f2_bound
-
-
-F2_EXACT_LIMIT = 10**6
-
-
-def forbidden_counts(finder) -> ForbiddenCounters:
-    """Forbidden-extension counters for the current top-of-stack j-set.
-
-    Type 1 (blocked by path vertices): exact via the complement identity
-    C(n-j, k-j) - C(n-j-|V(P) minus J|, k-j), checked against the a-priori
-    bound ell (k-j) C(n-j-1, k-j-1). Type 2 (candidate would contain an
-    explored j-set): degree-based upper bound, plus exact enumeration over
-    the path-disjoint candidates when their number is within the limit.
-    """
-    if not finder.stack:
-        raise ValueError("forbidden_counts needs a nonempty active stack")
-    n, k, j = finder.n, finder.k, finder.j
-    d = k - j
-    J = finder.stack[-1].jset
-    outside = int(finder.in_path.sum()) - j  # |V(P) \ J|; J is within the path
-    f1 = math.comb(n - j, d) - math.comb(max(n - j - outside, 0), d)
-    f1_bound = finder.ell * d * math.comb(n - j - 1, d - 1)
-
-    degrees = finder.monitor.degrees
-    f2_bound = 0.0
-    for z in range(j):
-        maxdeg = max(degrees.degree(Z) for Z in combinations(J, z))
-        if k - 2 * j + z >= 0:
-            f2_bound += math.comb(j, z) * maxdeg * math.comb(max(n - 2 * j + z, 0), k - 2 * j + z)
-
-    f2_exact = None
-    if math.comb(n - j, d) <= F2_EXACT_LIMIT:
-        assert J not in finder.explored  # J is active, so only other j-sets block
-        outside_path = (~finder.in_path).nonzero()[0].tolist()
-        f2_exact = sum(finder._q4_dead(tuple(sorted(J + X)))
-                       for X in combinations(outside_path, d))
-    return ForbiddenCounters(f1, f1_bound, f2_bound, f2_exact)

@@ -88,6 +88,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -282,6 +283,7 @@ class PathFinder:
             raise ValueError(f"mode must be one of {MODES}")
         if H.n >= 2**31:
             raise ValueError(f"n = {H.n} does not fit the scan's int32 vertex columns")
+        j, seed = operator.index(j), operator.index(seed)
         self.H = H
         self.n, self.k, self.j = H.n, H.k, j
         self.params: StructuralParams = structural_params(self.k, j)
@@ -726,68 +728,3 @@ def run(
                         trace_level=trace_level, audit=audit)
     return finder.run()
 
-
-def allowed_candidates(finder: PathFinder) -> list[tuple]:
-    """The X = K\\J still queryable from the top-of-stack J, in query order.
-
-    Rebuilt from scratch: Q2 against ``in_path``, Q3 against the record's
-    (priority, K) cursor, which both scans keep, and Q4 against the
-    explored-by index. So it gives the same answer for either engine, after
-    a stop too.
-    """
-    if not finder.stack:
-        raise ValueError("no active j-set")
-    rec = finder.stack[-1]
-    last = rec.cursor or ()  # () precedes every entry
-    return [tuple(v for v in e[1] if v not in rec.jset)
-            for e in finder._scalar_order(rec) if e > last]
-
-
-def retreat(finder: PathFinder) -> PathFinder:
-    """Mark the top-of-stack j-set explored; remove its batch's edge if that
-    batch is now done. The caller must have exhausted its candidates."""
-    if not finder.stack:
-        raise ValueError("no active j-set")
-    if allowed_candidates(finder):
-        raise ValueError("top-of-stack j-set still has allowed candidates")
-    finder._explore_top()
-    return finder
-
-
-def replay_trace(trace: RunTrace, H) -> bool:
-    """Re-check a trace against a backend: query outcomes must reproduce,
-    query clocks must strictly increase, and the summary counters must match
-    the event stream. Query outcomes are only present at trace_level full."""
-    if H.n != trace.n or H.k != trace.k:
-        raise ValueError("backend shape does not match trace")
-    if trace.trace_level == "summary":
-        return True
-    last_t = 0
-    counts = {"new_start": 0, "extend": 0, "explored": 0, "skip": 0}
-    seen_queries = 0
-    for ev in trace.events:
-        kind = ev["event"]
-        if kind == "query":
-            if ev["t"] <= last_t:
-                raise ValueError(f"query clock not increasing at t={ev['t']}")
-            last_t = ev["t"]
-            seen_queries += 1
-            if bool(H.query_edge(tuple(ev["edge"]))) != ev["outcome"]:
-                raise ValueError(f"query outcome mismatch on {ev['edge']}")
-        elif kind in counts:
-            counts[kind] += 1
-    if trace.trace_level == "full":
-        if seen_queries != trace.queries:
-            raise ValueError("query count mismatch")
-        for ev in trace.events:
-            if ev["event"] == "extend" and not H.query_edge(tuple(ev["edge"])):
-                raise ValueError(f"path edge {ev['edge']} absent from backend")
-    if counts["new_start"] != trace.new_starts:
-        raise ValueError("new start count mismatch")
-    if counts["extend"] != trace.positives:
-        raise ValueError("positive count mismatch")
-    if counts["skip"] != trace.skips:
-        raise ValueError("skip count mismatch")
-    if counts["explored"] != trace.explored:
-        raise ValueError("explored count mismatch")
-    return True

@@ -22,11 +22,13 @@ from tightpath.combinatorics import (
 )
 from tightpath.experiments import PRESETS, aggregate, run_sweep
 from tightpath.hypergraph import LazyHypergraph, generate_explicit
-from tightpath.monitor import StoppingConfig, default_c_ladder, forbidden_counts
+from tightpath.monitor import StoppingConfig, default_c_ladder
 from tightpath.oracle import expectation_monte_carlo, longest_path_exact, z_ell_bruteforce
 from tightpath.pathfinder import PathFinder, run
 from tightpath._rng import chain64, derive_key
 from tightpath import combinatorics
+
+from oracles import forbidden_counts
 
 
 def report(name: str, ok: bool, details: str = "") -> None:

@@ -481,6 +481,32 @@ def test_bad_edges_raise_the_per_edge_messages(tmp_path):
             ExplicitHypergraph.read_text(str(path))
 
 
+def test_non_integer_vertices_raise_naming_the_first_bad_edge():
+    for edges, shown in [
+        ([(0, 1, 2), (0.5, 1.7, 2.2)], r"\(0.5, 1.7, 2.2\)"),
+        (np.array([[0.9, 1.9, 2.9]]), r"\(0.9, 1.9, 2.9\)"),
+        ([("0", "1", "2")], r"\('0', '1', '2'\)"),
+    ]:
+        with pytest.raises(ValueError, match="vertices must be integers: " + shown):
+            ExplicitHypergraph(5, 3, edges)
+    assert ExplicitHypergraph(5, 3, []).edge_count == 0
+    assert ExplicitHypergraph(5, 3, np.empty((0, 3))).edge_count == 0
+
+
+def test_numpy_integer_arguments_act_as_python_ints():
+    lazy = LazyHypergraph(np.int64(10), np.int64(3), 0.5, np.int64(3))
+    assert [type(v) for v in (lazy.n, lazy.k, lazy.seed)] == [int, int, int]
+    explicit = generate_explicit(np.int64(10), np.int64(3), 0.5, np.int64(3))
+    assert (explicit.n, explicit.k) == (10, 3) and type(explicit.n) is int
+    assert explicit.edges == generate_explicit(10, 3, 0.5, 3).edges
+    for K in itertools.combinations(range(10), 3):
+        K_np = tuple(np.array(K))
+        assert lazy.query_edge(K_np) == lazy.query_edge(K) == explicit.query_edge(K_np)
+    for make in (LazyHypergraph, generate_explicit, sample_explicit):
+        with pytest.raises(TypeError):
+            make(10, 3, 0.5, 3.0)
+
+
 def test_edge_array_is_a_sorted_copy():
     H = generate_explicit(12, 3, 0.3, seed=4)
     arr = H.edge_array()

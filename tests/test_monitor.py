@@ -15,13 +15,13 @@ from tightpath.monitor import (
     S4,
     STOP_REASONS,
     DegreeTracker,
-    ForbiddenCounters,
     Monitor,
     StoppingConfig,
     default_c_ladder,
-    forbidden_counts,
 )
-from tightpath.pathfinder import PathFinder, retreat
+from tightpath.pathfinder import PathFinder
+
+from oracles import ForbiddenCounters, forbidden_counts, retreat
 
 
 def test_c_ladder_values():

@@ -30,11 +30,10 @@ from tightpath.pathfinder import (
     RunTrace,
     _NeutralStream,
     activate_batch,
-    allowed_candidates,
-    replay_trace,
-    retreat,
     run,
 )
+
+from oracles import allowed_candidates, replay_trace, retreat
 
 
 def summary_no_ms(trace):
@@ -985,6 +984,22 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert back.events == tr.events
     assert back.summary() == tr.summary()
     assert replay_trace(back, H)
+
+
+@pytest.mark.parametrize("backend", [LazyHypergraph, generate_explicit])
+def test_numpy_integer_arguments_write_the_python_int_trace(tmp_path, backend):
+    def jsonl(n, j, seed):
+        tr = run(backend(n, 3, 0.3, seed), 3, j, seed=seed, trace_level="full")
+        tr.ms = 0.0
+        path = tmp_path / "t.jsonl"
+        tr.write_jsonl(path)
+        return path.read_text()
+
+    got = jsonl(np.int64(12), np.int64(2), np.int64(5))
+    assert got == jsonl(12, 2, 5)
+    assert '"event": "extend"' in got
+    with pytest.raises(TypeError):
+        run(backend(12, 3, 0.3, 5), 3, 2, seed=5.0)
 
 
 def test_replay_verifies_against_the_backend():

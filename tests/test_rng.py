@@ -1,6 +1,7 @@
 """Keyed-hash primitives: determinism, scalar/numpy agreement, coin behavior."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +108,13 @@ def test_derive_key_separates_labels_and_seeds():
     assert derive_key(0, "sigma-j") != derive_key(0, "sigma-k")
     assert derive_key(0, "sigma-j") != derive_key(1, "sigma-j")
     assert derive_key(5, "edge-coin") == derive_key(5, "edge-coin")
+
+
+def test_derive_key_takes_numpy_integer_seeds():
+    assert derive_key(np.int64(5), "edge-coin") == derive_key(5, "edge-coin")
+    assert derive_key(np.uint64(MASK64), "edge-coin") == derive_key(MASK64, "edge-coin")
+    with pytest.raises(TypeError):
+        derive_key(5.0, "edge-coin")
 
 
 def test_coin_threshold_endpoints():
