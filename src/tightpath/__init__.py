@@ -30,7 +30,6 @@ from .hypergraph import (
     sample_explicit,
 )
 from .monitor import (
-    DegreeTracker,
     Monitor,
     StoppingConfig,
     default_c_ladder,
@@ -50,7 +49,6 @@ from .pathfinder import (
 )
 
 __all__ = [
-    "DegreeTracker",
     "ExplicitHypergraph",
     "JTightPath",
     "LazyHypergraph",

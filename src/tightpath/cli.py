@@ -110,11 +110,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _build_stopping(args, n: int) -> StoppingConfig | None:
+def _build_stopping(args, n: int) -> StoppingConfig:
     budget = args.budget
     if args.stopping in (None, "none"):
-        if budget is None and args.target is None and args.t0 is None:
-            return None
         target = math.inf if args.target is None else args.target
         t0 = math.inf if args.t0 is None else args.t0
         enabled = frozenset(x for x, on in (("S1", target < math.inf), ("S2", t0 < math.inf)) if on)

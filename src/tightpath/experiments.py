@@ -49,7 +49,7 @@ from .combinatorics import (
     threshold_p0,
 )
 from .hypergraph import generate_explicit, sample_explicit, LazyHypergraph
-from .monitor import StoppingConfig
+from .monitor import S1, S2, S3, S4, StoppingConfig
 from .oracle import longest_path_exact
 from .pathfinder import run as run_pathfinder
 
@@ -92,6 +92,9 @@ class SweepSpec:
             raise ValueError(f"query_budget must be >= 0, got {self.query_budget}")
         if self.node_budget < 0:
             raise ValueError(f"node_budget must be >= 0, got {self.node_budget}")
+        unknown = sorted(set(self.enabled) - {S1, S2, S3, S4}, key=str)
+        if unknown:  # StoppingConfig refuses them too, but trial by trial, as error rows
+            raise ValueError(f"enabled takes only S1-S4, got {unknown}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SweepSpec":

@@ -58,6 +58,9 @@ class StoppingConfig:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if any(a >= b for a, b in zip(self.c_ladder, self.c_ladder[1:])):
             raise ValueError("C ladder must be strictly increasing")
+        unknown = sorted(set(self.enabled) - {S1, S2, S3, S4}, key=str)
+        if unknown:  # a misspelled condition would otherwise be off without a word
+            raise ValueError(f"enabled takes only S1-S4, got {unknown}")
 
     @classmethod
     def standard(
@@ -113,61 +116,29 @@ class StoppingConfig:
         return cls(enabled=frozenset(), budget=budget)
 
 
-class DegreeTracker:
-    """d_t(I) = number of discovered j-sets containing the i-set I, for all
-    0 <= i < j. d(()) equals the total discovered count."""
-
-    def __init__(self, j: int):
-        self.j = j
-        self.counts: list[dict[tuple, int]] = [dict() for _ in range(j)]
-
-    def update(self, jset: Sequence[int]) -> list[tuple[int, tuple]]:
-        """Record one newly discovered j-set; returns the touched (i, I) pairs.
-        Novelty is the caller's to check: the search guards its discovered set."""
-        t = tuple(jset)
-        touched = []
-        for i in range(self.j):
-            ci = self.counts[i]
-            for I in combinations(t, i):
-                ci[I] = ci.get(I, 0) + 1
-                touched.append((i, I))
-        return touched
-
-    def degree(self, I: Sequence[int]) -> int:
-        I = tuple(I)
-        return self.counts[len(I)].get(I, 0)
-
-    @property
-    def discovered_count(self) -> int:
-        return self.counts[0].get((), 0)
-
-
 class Monitor:
-    """Evaluates the stopping conditions against a run's counters.
+    """Holds a run's stop state and evaluates the stopping conditions on it.
 
-    The search feeds it discovery and new-start events; query-time conditions
-    (S2 and the budget) are simple threshold comparisons the search applies
-    inline, exposed here as cutoff().
+    counts[i][I] is d_t(I), the number of discovered j-sets that contain the
+    i-set I, for 0 <= i < j; counts[0][()] is the discovered count. t_stop is
+    the clock at which the query-time conditions (S2 and the budget) end the
+    run: the ceiling of T0 (if S2 is enabled) or of the budget (if set),
+    whichever is smaller, else inf. The search feeds in discovery and
+    new-start events, and its scans perform no query beyond t_stop.
     """
 
     def __init__(self, n: int, k: int, j: int, config: StoppingConfig):
         self.n, self.k, self.j = n, k, j
         self.config = config
-        self.degrees = DegreeTracker(j)
+        self.counts: list[dict[tuple, int]] = [dict() for _ in range(j)]
         self.new_starts = 0
         self._touched: list[tuple[int, tuple]] = []
         self._nbeta = float(n) ** config.beta
         if S4 in config.enabled and len(config.c_ladder) < j:
             raise ValueError(f"S4 needs a C ladder of length {j}")
-
-    def cutoff(self) -> float:
-        """Largest t the run may reach; queries beyond it are not performed."""
-        cut = math.inf
-        if S2 in self.config.enabled:
-            cut = self.config.T0
-        if self.config.budget is not None:
-            cut = min(cut, self.config.budget)
-        return cut
+        cut = min(config.T0 if S2 in config.enabled else math.inf,
+                  math.inf if config.budget is None else config.budget)
+        self.t_stop = cut if math.isinf(cut) else math.ceil(cut)
 
     def time_reason(self, t: int) -> Optional[str]:
         """Which of S2/budget fired at clock t, respecting check order."""
@@ -178,9 +149,14 @@ class Monitor:
         return None
 
     def on_discover(self, jset: Sequence[int], new_start: bool) -> None:
+        """Count one newly discovered j-set into d_t(I) of each of its i-subsets I.
+        Novelty is the caller's to check: the search guards its discovered set."""
         if new_start:
             self.new_starts += 1
-        self._touched.extend(self.degrees.update(jset))
+        for i, ci in enumerate(self.counts):
+            for I in combinations(jset, i):
+                ci[I] = ci.get(I, 0) + 1
+                self._touched.append((i, I))
 
     def check_stop(self, ell: int, t: int) -> Optional[str]:
         """First triggered condition in order S1, S2, S3, S4, else None."""
@@ -203,7 +179,7 @@ class Monitor:
         if S4 in cfg.enabled:
             for i, I in touched:
                 bound = cfg.c_ladder[i] * t / self.n ** (self.k - self.j + i) + self._nbeta
-                if self.degrees.counts[i][I] >= bound:
+                if self.counts[i][I] >= bound:
                     return S4
         return None
 

@@ -289,8 +289,8 @@ class PathFinder:
         self.params: StructuralParams = structural_params(self.k, j)
         self.d = self.k - j
         self.seed = seed
-        self.config = stopping if stopping is not None else StoppingConfig.unbounded()
-        self.monitor = Monitor(self.n, self.k, j, self.config)
+        self.monitor = Monitor(self.n, self.k, j,
+                               stopping if stopping is not None else StoppingConfig.unbounded())
         self.audit = audit
         self.checked = audit or mode == "checked"
         self.mode = "checked" if self.checked else "auto"
@@ -379,10 +379,6 @@ class PathFinder:
 
     # -- candidate scans ----------------------------------------------------
 
-    def _t_stop(self) -> float:
-        cut = self.monitor.cutoff()
-        return cut if math.isinf(cut) else math.ceil(cut)
-
     def _q4_dead(self, K: tuple) -> bool:
         return not self.explored.isdisjoint(combinations(K, self.j))
 
@@ -410,7 +406,7 @@ class PathFinder:
     def _scan_generic(self, rec: ActiveRecord):
         if rec.order is None:
             rec.order = iter(self._scalar_order(rec))
-        t_stop = self._t_stop()
+        t_stop = self.monitor.t_stop
         full = self.trace_level == "full"
         for entry in rec.order:
             K = entry[1]
@@ -547,7 +543,7 @@ class PathFinder:
         # (see _summary). A resumed scan gets it from _replay; it builds its
         # candidates only after a kill of fewer than d-1 vertices outside J,
         # or where the clock cuts it, to leave the cursor as a rescan does.
-        t0, t_stop = self.t, self._t_stop()
+        t0, t_stop = self.t, self.monitor.t_stop
         full = self.trace_level == "full"
         kept = self._replay(rec) if rec.resume else None
         rec.resume = None
@@ -571,7 +567,7 @@ class PathFinder:
         later, gaps = kept
         # the clock stops at a failed query at t_stop; a success there stands
         cut = t0 + gaps[0] >= t_stop
-        self.t = int(t_stop) if cut else t0 + gaps[0] + bool(later)
+        self.t = t_stop if cut else t0 + gaps[0] + bool(later)
         if full:  # a full trace never stores a summary, so this scan built its rows
             self._emit_queries(rec, cands, alive, succ, t0)
         if cut:

@@ -120,10 +120,10 @@ def forbidden_counts(finder) -> ForbiddenCounters:
     f1 = math.comb(n - j, d) - math.comb(max(n - j - outside, 0), d)
     f1_bound = finder.ell * d * math.comb(n - j - 1, d - 1)
 
-    degrees = finder.monitor.degrees
+    counts = finder.monitor.counts
     f2_bound = 0.0
     for z in range(j):
-        maxdeg = max(degrees.degree(Z) for Z in combinations(J, z))
+        maxdeg = max(counts[z].get(Z, 0) for Z in combinations(J, z))
         if k - 2 * j + z >= 0:
             f2_bound += math.comb(j, z) * maxdeg * math.comb(max(n - 2 * j + z, 0), k - 2 * j + z)
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process via main(argv)."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +247,16 @@ def test_sweep_n_at_most_k_exits_1_before_any_trial(tmp_path, capsys):
     assert err.startswith("error: ") and "exceed k = 3" in err and err.count("\n") == 1
 
 
+def test_sweep_misspelled_stop_condition_exits_1_before_any_trial(tmp_path, capsys):
+    """enabled=S1,s2 used to run to S1 with S2-S4 off and exit 0; a name
+    outside S1-S4 now fails at the config, so no trial CSV is written."""
+    trials, cfg = tmp_path / "trials.csv", tmp_path / "sweep.cfg"
+    cfg.write_text("k=3\nj=2\nn=20\neps=0.3\ntrials=1\nenabled=S1,s2\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(trials))
+    assert (code, out) == (1, "") and not trials.exists()
+    assert err.startswith("error: ") and "'s2'" in err and err.count("\n") == 1
+
+
 def test_run_standard_stopping_refuses_j_1(capsys):
     """The standard rule's S1 curve holds for j >= 2, so at j = 1 the run
     exits 1 with a message naming the loose rule."""
@@ -445,6 +456,17 @@ def test_verify_suites_small(capsys):
                            "-n", "10", "--trials", "5")
     assert code == 0
     assert "5/5 runs within the exact optimum" in out
+
+
+def test_readme_verify_example_exits_0(capsys):
+    """README's verify line, with fewer trials, runs every suite and passes."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(x for x in readme.read_text().splitlines() if x.startswith("tightpath verify"))
+    argv = line.split()[1:]
+    argv[argv.index("--trials") + 1] = "2"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out and out.count("PASS") == 3
 
 
 def test_verify_rejects_zero_k_and_j(capsys):

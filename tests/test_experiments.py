@@ -73,6 +73,15 @@ def test_spec_validation():
     assert (small_spec(query_budget=0).query_budget, small_spec(node_budget=0).node_budget) == (0, 0)
 
 
+def test_spec_refuses_unknown_stop_conditions():
+    """Each trial's StoppingConfig would refuse them, as one error row per
+    trial; the spec refuses them before any trial runs."""
+    for enabled in (("bogus",), ("S1", "s2"), ("S1", "S2", "S3", "S4", "S5")):
+        with pytest.raises(ValueError, match="S1-S4"):
+            small_spec(enabled=enabled)
+    assert small_spec(enabled=("S1", "S2")).enabled == ("S1", "S2")
+
+
 def test_spec_refuses_delta_outside_0_1_and_nonpositive_omega():
     """aggregate's bounds need 0 < delta < 1 and omega > 0, so the spec
     refuses any other value, NaN included, before a trial runs."""

@@ -1,11 +1,13 @@
 """Stopping conditions, degree tracking, forbidden-extension counters."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from tightpath.hypergraph import ExplicitHypergraph, generate_explicit
+from tightpath.combinatorics import threshold_p0
+from tightpath.hypergraph import ExplicitHypergraph, LazyHypergraph, generate_explicit
 from tightpath.monitor import (
     BUDGET,
     EXHAUSTED,
@@ -14,12 +16,11 @@ from tightpath.monitor import (
     S3,
     S4,
     STOP_REASONS,
-    DegreeTracker,
     Monitor,
     StoppingConfig,
     default_c_ladder,
 )
-from tightpath.pathfinder import PathFinder
+from tightpath.pathfinder import TRACE_LEVELS, PathFinder, run
 
 from oracles import ForbiddenCounters, forbidden_counts, retreat
 
@@ -87,16 +88,24 @@ def test_config_validation():
     assert STOP_REASONS == (S1, S2, S3, S4, EXHAUSTED, BUDGET, "n/a")
 
 
+def test_config_refuses_unknown_stop_conditions():
+    """A misspelled condition used to leave itself off without a word."""
+    for enabled in ({"S5"}, {S1, "s2"}, {"S1", ""}):
+        with pytest.raises(ValueError, match="S1-S4"):
+            StoppingConfig(enabled=frozenset(enabled))
+    assert StoppingConfig(enabled=frozenset({S1, S2, S3, S4})).enabled == {S1, S2, S3, S4}
+
+
 def test_monitor_cutoff_and_time_reason():
     mon = Monitor(100, 3, 2, StoppingConfig(T0=50, enabled=frozenset({S2}), budget=80))
-    assert mon.cutoff() == 50
+    assert mon.t_stop == 50
     assert mon.time_reason(49) is None
     assert mon.time_reason(50) == S2
     mon = Monitor(100, 3, 2, StoppingConfig(enabled=frozenset(), budget=80))
-    assert mon.cutoff() == 80
+    assert mon.t_stop == 80
     assert mon.time_reason(80) == BUDGET
     mon = Monitor(100, 3, 2, StoppingConfig.unbounded())
-    assert math.isinf(mon.cutoff())
+    assert math.isinf(mon.t_stop)
     assert mon.time_reason(10**12) is None
 
 
@@ -181,26 +190,57 @@ def test_paper_rules_refuse_delta_outside_0_1():
 
 
 def test_degree_tracker_counts_all_subsets():
-    tr = DegreeTracker(2)
-    touched = tr.update((3, 7))
-    assert touched == [(0, ()), (1, (3,)), (1, (7,))]
-    tr.update((3, 9))
-    assert tr.degree(()) == 2
-    assert tr.degree((3,)) == 2
-    assert tr.degree((7,)) == 1
-    assert tr.degree((5,)) == 0
-    assert tr.discovered_count == 2
+    mon = Monitor(100, 3, 2, StoppingConfig.unbounded())
+    mon.on_discover((3, 7), new_start=True)
+    mon.on_discover((3, 9), new_start=False)
+    assert mon.counts[0][()] == 2
+    assert mon.counts[1][(3,)] == 2
+    assert mon.counts[1][(7,)] == 1
+    assert (5,) not in mon.counts[1]
 
 
 def test_degree_tracker_handedness_identity():
     """Each j-set touches j singletons, so singleton degrees sum to j * count."""
-    tr = DegreeTracker(3)
+    mon = Monitor(100, 4, 3, StoppingConfig.unbounded())
     jsets = list(combinations(range(7), 3))[:20]
     for jset in jsets:
-        tr.update(jset)
-    assert tr.discovered_count == 20
-    assert sum(tr.counts[1].values()) == 3 * 20
-    assert sum(tr.counts[2].values()) == 3 * 20  # C(3,2) pairs per j-set
+        mon.on_discover(jset, new_start=False)
+    assert mon.counts[0][()] == 20
+    assert sum(mon.counts[1].values()) == 3 * 20
+    assert sum(mon.counts[2].values()) == 3 * 20  # C(3,2) pairs per j-set
+
+
+@pytest.mark.parametrize("n, k, j, mode, budget", [
+    (60, 3, 2, "auto", 3000), (60, 3, 1, "auto", 8000), (20, 4, 2, "auto", 2000),
+    (11, 3, 2, "checked", 100)])
+def test_counts_match_a_brute_count_over_the_discovered_jsets(n, k, j, mode, budget):
+    """counts[i][I] is the number of discovered j-sets holding the i-set I."""
+    p = 2 * threshold_p0(n, k, j)
+    H = LazyHypergraph(n, k, p, seed=3) if mode == "auto" else generate_explicit(n, k, p, seed=3)
+    finder = PathFinder(H, j, seed=3, stopping=StoppingConfig.unbounded(budget), mode=mode)
+    assert finder.run().stop_reason == BUDGET
+    assert 1 < len(finder.discovered) < math.comb(n, j)
+    brute = [Counter(I for J in finder.discovered for I in combinations(J, i)) for i in range(j)]
+    assert finder.monitor.counts == [dict(c) for c in brute]
+
+
+@pytest.mark.parametrize("T0, budget, want", [
+    (40.5, None, (S2, 41)), (40.5, 30, (BUDGET, 30)), (40.5, 41, (S2, 41)),
+    (40.5, 60, (S2, 41)), (0.5, None, (S2, 1)), (7.25, 8, (S2, 8))])
+def test_a_fractional_t0_stops_both_engines_at_its_ceiling(T0, budget, want):
+    """The paper's T0 = n^(k-j+1)/eps is seldom an integer: the clock stops
+    at its ceiling, or at a smaller budget, with the same events in both engines."""
+    cfg = StoppingConfig(T0=T0, enabled=frozenset({S2}), budget=budget)
+    assert Monitor(11, 3, 2, cfg).t_stop == want[1]
+    for n, k, j in [(11, 3, 2), (9, 4, 2)]:
+        for seed in range(2):
+            H = generate_explicit(n, k, 0.08, seed=seed)
+            for level in TRACE_LEVELS:
+                a, c = (run(H, k, j, seed=seed, stopping=cfg, mode=m, trace_level=level)
+                        for m in ("auto", "checked"))
+                assert (a.stop_reason, a.queries) == (c.stop_reason, c.queries) == want
+                assert a.events == c.events
+                assert {**a.summary(), "ms": 0} == {**c.summary(), "ms": 0}
 
 
 def test_forbidden_counters_enforce_their_bounds():

@@ -18,3 +18,9 @@ def test_test_only_checkers_live_in_the_tests():
     for module in (tightpath, tightpath.pathfinder, tightpath.monitor):
         assert [name for name in TEST_ONLY if hasattr(module, name)] == []
     assert [name for name in TEST_ONLY if not hasattr(oracles, name)] == []
+
+
+def test_degree_tracker_is_gone():
+    """Monitor.counts holds the degree counts: the tracker was deleted, not moved."""
+    for module in (tightpath, tightpath.monitor):
+        assert not hasattr(module, "DegreeTracker")
