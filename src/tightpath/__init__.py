@@ -3,10 +3,8 @@ in binomial random k-uniform hypergraphs."""
 
 from .combinatorics import (
     JTightPath,
-    ShortPathError,
     StructuralParams,
     expected_path_classes,
-    partition_path,
     path_vertex_count,
     structural_params,
     theorem_bounds,
@@ -57,7 +55,6 @@ __all__ = [
     "PRESETS",
     "PathFinder",
     "RunTrace",
-    "ShortPathError",
     "StoppingConfig",
     "StructuralParams",
     "SweepSpec",
@@ -70,7 +67,6 @@ __all__ = [
     "expected_path_classes",
     "generate_explicit",
     "longest_path_exact",
-    "partition_path",
     "path_vertex_count",
     "read_csv",
     "run",
@@ -82,6 +78,7 @@ __all__ = [
     "write_csv",
     "write_summary_csv",
     "z_ell",
+    "z_ell_bruteforce",
 ]
 
 __version__ = "0.1.0"

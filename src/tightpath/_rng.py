@@ -106,11 +106,6 @@ def _mix64_inplace(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return h
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    h = x.astype(np.uint64, copy=True)
-    return _mix64_inplace(h, np.empty_like(h))
-
-
 def chain64_np(key, cols: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized chain64. ``key`` is an int or a broadcastable uint64 array;
     each element of ``cols`` is one coordinate column. The result is a fresh

@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     H = hypergraph.ExplicitHypergraph.read_text(args.hypergraph)
-    res = oracle.longest_path_exact(H, args.j, node_budget=args.node_budget, method=args.method)
+    res = oracle.longest_path_exact(H, args.j, node_budget=args.node_budget)
     print(f"length={res.length} censored={res.censored} nodes={res.nodes}")
     print(f"witness={list(res.witness.vertices)}")
     return 2 if res.censored else 0
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, k=False)
     sp.add_argument("--hypergraph", required=True)
     sp.add_argument("--node-budget", type=int, default=5_000_000)
-    sp.add_argument("--method", choices=("auto", "dfs", "levels"), default="auto")
     sp.set_defaults(func=cmd_oracle, need=("j",))
 
     sp = sub.add_parser("sweep", help="run a trial sweep from a config or preset")

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of (n, k, j, ell, eps, p): structural
 parameters of the overlap pattern, automorphism class sizes z_ell, the
-threshold probability p0, expected class counts, length-bound curves, and
-the canonical block partition of a path.
+threshold probability p0, expected class counts and length-bound curves;
+JTightPath holds a path as its vertex sequence and derives its edges.
 
 Conventions: vertices are 0-based ints; a path of length ell has
 v = (k-j)*ell + j distinct vertices and edges e_i = windows of k consecutive
@@ -18,10 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
-
-
-class ShortPathError(ValueError):
-    """Raised when a path is too short for the block partition (ell < s+2)."""
 
 
 @dataclass(frozen=True)
@@ -225,47 +221,6 @@ class JTightPath:
             tuple(sorted(self.vertices[i * d : i * d + self.k]))
             for i in range(self.ell)
         ]
-
-    def edge_sets(self) -> set[frozenset[int]]:
-        return {frozenset(e) for e in self.edges()}
-
-
-@dataclass(frozen=True)
-class PathPart:
-    """One block of the canonical partition, in path order."""
-
-    label: str
-    vertices: tuple[int, ...]
-
-
-def partition_path(path: JTightPath) -> list[PathPart]:
-    """Split a path into its maximal same-edge-membership blocks.
-
-    Returns, in path order: F_1..F_s (head blocks, size k-j each), then
-    A_1, B_1, A_2, ..., B_{ell-s-1}, A_{ell-s} alternating (sizes a and b),
-    then G_1..G_s (tail blocks, size k-j). Defined only for ell >= s+2;
-    shorter paths raise ShortPathError because their blocks degenerate.
-    """
-    sp = structural_params(path.k, path.j)
-    ell, s = path.ell, sp.s
-    if ell < s + 2:
-        raise ShortPathError(
-            f"partition needs ell >= s+2 = {s + 2}, got ell = {ell}"
-        )
-    pos = {v: i for i, v in enumerate(path.vertices)}
-    edge_sets = [set(e) for e in path.edges()]
-
-    def part(label: str, vs: set[int]) -> PathPart:
-        return PathPart(label, tuple(sorted(vs, key=pos.__getitem__)))
-
-    e = lambda i: edge_sets[i - 1]
-    parts = [part(f"F{i}", e(i) - e(i + 1)) for i in range(1, s + 1)]
-    for i in range(1, ell - s + 1):
-        parts.append(part(f"A{i}", e(i) & e(i + s)))
-        if i <= ell - s - 1:
-            parts.append(part(f"B{i}", e(i + s) - (e(i + s + 1) | e(i))))
-    parts.extend(part(f"G{i}", e(ell - s + i) - e(ell - s + i - 1)) for i in range(1, s + 1))
-    return parts
 
 
 def iter_lengths_with_vertex_budget(k: int, j: int, max_v: int) -> Iterator[int]:

@@ -257,14 +257,12 @@ def group_bounds(n: int, k: int, j: int, eps: float, omega: float, delta: float)
     return lower, curves[SUPERCRITICAL_UPPER]
 
 
-def aggregate(records: Sequence[TrialRecord], omega: float = 6.0, delta: float = 0.5,
-              bounds: Optional[dict] = None) -> list[dict]:
+def aggregate(records: Sequence[TrialRecord], omega: float = 6.0, delta: float = 0.5) -> list[dict]:
     """Per-(n, eps) length statistics against the bound curves.
 
     Censored rows count toward the censoring rate only; their L values (lower
     bounds, not measurements) are excluded from the statistics, and so are
-    those of error rows (stop_reason "error"), which measured nothing. `bounds` maps
-    (n, eps) to a (lower, upper) pair and overrides the derived curves.
+    those of error rows (stop_reason "error"), which measured nothing.
     """
     if not records:
         return []
@@ -279,10 +277,7 @@ def aggregate(records: Sequence[TrialRecord], omega: float = 6.0, delta: float =
     for (n, eps) in sorted(groups):
         grp = groups[(n, eps)]
         ok = [r.L for r in grp if not r.censored and r.stop_reason != "error"]
-        if bounds is not None and (n, eps) in bounds:
-            lower, upper = bounds[(n, eps)]
-        else:
-            lower, upper = group_bounds(n, k, j, eps, omega, delta)
+        lower, upper = group_bounds(n, k, j, eps, omega, delta)
         row = {
             "n": n,
             "eps": eps,

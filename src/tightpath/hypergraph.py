@@ -49,13 +49,6 @@ class EnumerationBudgetError(ValueError):
     """The k-set space is too large to enumerate; use the lazy backend."""
 
 
-def canonical_kset(vertices: Iterable[int]) -> tuple[int, ...]:
-    vs = tuple(vertices)
-    if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-        raise ValueError(f"vertex set must be strictly increasing: {vs}")
-    return vs
-
-
 def _check_canonical(K: Sequence[int], k: int, n: int) -> None:
     if len(K) == k and 0 <= K[0] and K[-1] < n and all(map(operator.lt, K, K[1:])):
         return  # one expression on the hot path; the messages below say what failed
@@ -407,7 +400,7 @@ class ExplicitHypergraph:
             for e in edges.tolist() if isinstance(edges, np.ndarray) else edges:
                 if not all(isinstance(v, numbers.Integral) for v in e):
                     raise ValueError(f"vertices must be integers: {tuple(e)}")
-                _check_canonical(canonical_kset(e), k, n)
+                _check_canonical(tuple(e), k, n)
         rows = rows.astype(np.int64, copy=False)
         step = rows[1:] - rows[:-1]  # rows ascend strictly iff each first nonzero step is > 0
         if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
@@ -447,9 +440,6 @@ class ExplicitHypergraph:
             return np.zeros(keys.shape, dtype=bool)
         idx = np.minimum(np.searchsorted(self._packed, keys), len(self._packed) - 1)
         return self._packed[idx] == keys
-
-    def relabeled(self, perm: Sequence[int]) -> "ExplicitHypergraph":
-        return ExplicitHypergraph(self.n, self.k, np.sort(np.asarray(perm)[self._rows], axis=1))
 
     def write_text(self, path: str) -> None:
         with open(path, "w") as fh:

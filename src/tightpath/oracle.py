@@ -58,40 +58,30 @@ class OracleResult:
     nodes: int
 
 
-def longest_path_exact(
-    H: ExplicitHypergraph, j: int, node_budget: int = 5_000_000, method: str = "auto"
-) -> OracleResult:
+def longest_path_exact(H: ExplicitHypergraph, j: int, node_budget: int = 5_000_000) -> OracleResult:
     """Exhaustive longest j-tight path in an explicit hypergraph.
 
     Backtracks over vertex sequences, appending the k-j new vertices of each
     edge that completes the current tail. ``node_budget`` caps the number of
     extension attempts (``nodes``); exceeding it returns the best path found
-    so far with censored=True rather than a silently wrong optimum. A censored
-    "dfs" run reports nodes = node_budget + 1, the attempt that tripped the
-    budget; a censored "levels" run reports the nodes of its completed levels.
+    so far with censored=True rather than a silently wrong optimum. A negative
+    node_budget raises ValueError.
+
+    The input picks the engine. The vectorized level enumerator runs when
+    k-j == 1, the tail space packs into 62 bits and n < 2**31 (its vertex
+    columns are int32); the recursive search runs otherwise. A censored
+    search reports nodes = node_budget + 1, the attempt that tripped the
+    budget; a censored level run reports the nodes of its completed levels.
     Level 1 (every edge with every ordered tail) is always expanded and
     counted whole, so that count exceeds node_budget when level 1 alone does;
-    past level 1 it stays at most node_budget. A negative node_budget raises
-    ValueError.
-
-    method: "auto" picks the vectorized level enumerator when k-j == 1, the
-    tail space packs into 62 bits and n < 2**31, otherwise the recursive
-    search; "dfs" and "levels" force one.
+    past level 1 it stays at most node_budget. The two engines are each
+    other's reference where both apply.
     """
-    k = H.k
-    structural_params(k, j)
+    structural_params(H.k, j)
     if node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
-    levels = k - j == 1 and H.n**j < 2**62 and H.n < 2**31
-    if method == "auto":
-        method = "levels" if levels else "dfs"
-    if method == "levels":
-        if not levels:
-            raise ValueError("level enumeration requires k-j == 1, a packable tail "
-                             "and n < 2**31 for its int32 vertex columns")
+    if H.k - j == 1 and H.n**j < 2**62 and H.n < 2**31:
         return _longest_path_levels(H, j, node_budget)
-    if method != "dfs":
-        raise ValueError(f"unknown method: {method}")
     return _longest_path_dfs(H, j, node_budget)
 
 

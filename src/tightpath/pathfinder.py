@@ -261,9 +261,8 @@ class PathFinder:
 
     mode: "auto" uses the vectorized scan at every trace level; "checked"
     uses the generic (scalar) scan, asserts state invariants after every event
-    and keeps a ledger of queried k-sets. audit=True (implies checked)
-    re-derives the full allowed family before every query and asserts the
-    scan agrees.
+    and keeps a ledger of queried k-sets. The two give equal traces, so a
+    full-trace comparison of them checks the vector scan's query order.
     """
 
     def __init__(
@@ -274,7 +273,6 @@ class PathFinder:
         stopping: Optional[StoppingConfig] = None,
         mode: str = "auto",
         trace_level: str = "events",
-        audit: bool = False,
     ):
         self._start = time.perf_counter()  # RunTrace.ms covers construction too
         if trace_level not in TRACE_LEVELS:
@@ -291,9 +289,8 @@ class PathFinder:
         self.seed = seed
         self.monitor = Monitor(self.n, self.k, j,
                                stopping if stopping is not None else StoppingConfig.unbounded())
-        self.audit = audit
-        self.checked = audit or mode == "checked"
-        self.mode = "checked" if self.checked else "auto"
+        self.checked = mode == "checked"
+        self.mode = mode
         self.trace_level = trace_level
         self.events: list = []
 
@@ -304,7 +301,6 @@ class PathFinder:
         self.ell = 0
         self.max_ell = 0
         self.positives = 0
-        self.activations = 0
 
         self.blocks: list[list[int]] = []
         self.edges: list[tuple] = []
@@ -412,8 +408,6 @@ class PathFinder:
             K = entry[1]
             if self._q4_dead(K):
                 continue
-            if self.audit:
-                self._audit_candidate(rec, entry)
             rec.cursor = entry
             self.t += 1
             outcome = self.H.query_edge(K)
@@ -427,10 +421,6 @@ class PathFinder:
             if self.t >= t_stop:
                 return ("stop", self.monitor.time_reason(self.t))
         return ("exhausted",)
-
-    def _audit_candidate(self, rec: ActiveRecord, entry: tuple) -> None:
-        fam = [e for e in self._scalar_order(rec) if e > (rec.cursor or ())][:1]
-        assert fam == [entry], f"scan order diverged: {entry} vs {fam}"
 
     def _q4_mask(self, J: tuple, cands: Candidates) -> np.ndarray:
         """Q4 for completions of 2 or more vertices: False where X holds a part
@@ -642,7 +632,6 @@ class PathFinder:
         members.sort(key=lambda js: (chain64(self.sigj_key, js), js))
         for js in members:
             self._discover(js, new_start=False)
-        self.activations += len(members)
         self._emit({"event": "batch", "t": self.t, "edge_index": self.ell,
                     "members": [list(js) for js in members], "skipped": 0})
         self.stack.extend(ActiveRecord(js, self.ell) for js in members)
@@ -651,8 +640,7 @@ class PathFinder:
     def _check_invariants(self) -> None:
         p = self.params
         assert len(self.stack) <= 1 + p.batch_size * self.ell
-        assert self.activations == p.batch_size * self.positives
-        assert self.monitor.new_starts + self.activations == len(self.discovered)
+        assert self.monitor.new_starts + p.batch_size * self.positives == len(self.discovered)
         assert len(self.stack) + len(self.explored) == len(self.discovered)
         assert all(self.in_path[v] for r in self.stack for v in r.jset)
 
@@ -700,7 +688,7 @@ class PathFinder:
             trace_level=self.trace_level, stop_reason=self.stop_reason,
             max_ell=self.max_ell, final_ell=self.ell, queries=self.t,
             new_starts=self.monitor.new_starts, positives=self.positives,
-            activations=self.activations, discovered=len(self.discovered),
+            activations=self.params.batch_size * self.positives, discovered=len(self.discovered),
             explored=len(self.explored), ms=self.ms, events=self.events,
         )
 
@@ -713,14 +701,10 @@ def run(
     stopping: Optional[StoppingConfig] = None,
     mode: str = "auto",
     trace_level: str = "events",
-    audit: bool = False,
 ) -> RunTrace:
     """Run the search to termination and return its trace."""
     if H.k != k:
         raise ValueError(f"backend is {H.k}-uniform, expected {k}")
-    if not 1 <= j <= k - 1:
-        raise ValueError(f"j must be in [1, {k - 1}]")
-    finder = PathFinder(H, j, seed=seed, stopping=stopping, mode=mode,
-                        trace_level=trace_level, audit=audit)
+    finder = PathFinder(H, j, seed=seed, stopping=stopping, mode=mode, trace_level=trace_level)
     return finder.run()
 

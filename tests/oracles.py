@@ -1,4 +1,4 @@
-"""Reference checkers that only the tests call.
+"""Reference checkers and helpers that only the tests call.
 
 ``allowed_candidates`` and ``retreat`` rebuild and spend a finder's top-of-
 stack candidate family from scratch; ``replay_trace`` re-checks a trace
@@ -7,7 +7,9 @@ top-of-stack j-set: the exact type-1 count and its a-priori bound, and the
 degree-based upper bound plus optional exact enumeration for type-2. They
 read the engine's private state (``_scalar_order``, ``_q4_dead``,
 ``_explore_top``), which is why they live beside the tests and not in the
-package.
+package. ``partition_path`` splits a path into the paper's canonical blocks,
+``edge_sets`` gives a path's edges as sets, and ``relabeled`` permutes an
+instance's vertices: no run needs them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
+import numpy as np
+
+from tightpath.combinatorics import JTightPath, structural_params
+from tightpath.hypergraph import ExplicitHypergraph
 from tightpath.pathfinder import PathFinder, RunTrace
 
 
@@ -134,3 +140,51 @@ def forbidden_counts(finder) -> ForbiddenCounters:
         f2_exact = sum(finder._q4_dead(tuple(sorted(J + X)))
                        for X in combinations(outside_path, d))
     return ForbiddenCounters(f1, f1_bound, f2_bound, f2_exact)
+
+
+def edge_sets(path: JTightPath) -> set[frozenset[int]]:
+    return {frozenset(e) for e in path.edges()}
+
+
+def relabeled(H: ExplicitHypergraph, perm: Sequence[int]) -> ExplicitHypergraph:
+    return ExplicitHypergraph(H.n, H.k, np.sort(np.asarray(perm)[H.edge_array()], axis=1))
+
+
+class ShortPathError(ValueError):
+    """Raised when a path is too short for the block partition (ell < s+2)."""
+
+
+@dataclass(frozen=True)
+class PathPart:
+    """One block of the canonical partition, in path order."""
+
+    label: str
+    vertices: tuple[int, ...]
+
+
+def partition_path(path: JTightPath) -> list[PathPart]:
+    """Split a path into its maximal same-edge-membership blocks.
+
+    Returns, in path order: F_1..F_s (head blocks, size k-j each), then
+    A_1, B_1, A_2, ..., B_{ell-s-1}, A_{ell-s} alternating (sizes a and b),
+    then G_1..G_s (tail blocks, size k-j). Defined only for ell >= s+2;
+    shorter paths raise ShortPathError because their blocks degenerate.
+    """
+    sp = structural_params(path.k, path.j)
+    ell, s = path.ell, sp.s
+    if ell < s + 2:
+        raise ShortPathError(f"partition needs ell >= s+2 = {s + 2}, got ell = {ell}")
+    pos = {v: i for i, v in enumerate(path.vertices)}
+    edges = [set(e) for e in path.edges()]
+
+    def part(label: str, vs: set[int]) -> PathPart:
+        return PathPart(label, tuple(sorted(vs, key=pos.__getitem__)))
+
+    e = lambda i: edges[i - 1]
+    parts = [part(f"F{i}", e(i) - e(i + 1)) for i in range(1, s + 1)]
+    for i in range(1, ell - s + 1):
+        parts.append(part(f"A{i}", e(i) & e(i + s)))
+        if i <= ell - s - 1:
+            parts.append(part(f"B{i}", e(i + s) - (e(i + s + 1) | e(i))))
+    parts.extend(part(f"G{i}", e(ell - s + i) - e(ell - s + i - 1)) for i in range(1, s + 1))
+    return parts

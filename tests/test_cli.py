@@ -292,6 +292,17 @@ def test_oracle_censored_exit_code(tmp_path, capsys):
     assert "censored=True" in out
 
 
+def test_oracle_has_no_method_flag(tmp_path, capsys):
+    """The input picks the oracle's engine, so --method is a usage error."""
+    hpath = tmp_path / "h.txt"
+    run_cli(capsys, "gen", "-k", "3", "-n", "12", "-p", "0.3", "--out", str(hpath))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--hypergraph", str(hpath), "-j", "2", "--method", "dfs"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments: --method dfs" in err
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("k = 5  # arity\nj = 2\n")

@@ -15,11 +15,9 @@ from tightpath.combinatorics import (
     SUPERCRITICAL_LOWER,
     SUPERCRITICAL_UPPER,
     JTightPath,
-    ShortPathError,
     expected_path_classes,
     expected_path_classes_exact,
     iter_lengths_with_vertex_budget,
-    partition_path,
     path_vertex_count,
     structural_params,
     theorem_bounds,
@@ -27,6 +25,8 @@ from tightpath.combinatorics import (
     z_ell,
 )
 from tightpath.oracle import z_ell_bruteforce
+
+from oracles import ShortPathError, edge_sets, partition_path
 
 
 def test_structural_params_known_points():
@@ -194,7 +194,7 @@ def test_jtightpath_validation_and_edges():
     path = JTightPath(3, 2, (4, 1, 7, 2))
     assert path.ell == 2
     assert path.edges() == [(1, 4, 7), (1, 2, 7)]
-    assert path.edge_sets() == {frozenset({1, 4, 7}), frozenset({1, 2, 7})}
+    assert edge_sets(path) == {frozenset({1, 4, 7}), frozenset({1, 2, 7})}
     with pytest.raises(ValueError):
         JTightPath(3, 2, (1, 2, 2, 3))
     with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ def test_partition_path_covers_in_order_and_permutes():
                 rng.shuffle(seg)
                 shuffled.extend(seg)
             other = JTightPath(k, j, tuple(shuffled))
-            assert other.edge_sets() == path.edge_sets()
+            assert edge_sets(other) == edge_sets(path)
 
 
 def test_iter_lengths_with_vertex_budget():

@@ -287,14 +287,20 @@ def fake_record(n=100, eps=0.2, L=5, censored=False, trial=0, k=3, j=2):
                        new_starts=1, edges=-1, stop_reason="S1", ms=1.0)
 
 
-def test_aggregate_with_explicit_bounds():
+def fixed_bounds(monkeypatch, lower, upper):
+    """Make aggregate read (lower, upper) as every group's curves."""
+    monkeypatch.setattr(experiments, "group_bounds", lambda *args: (lower, upper))
+
+
+def test_aggregate_with_explicit_bounds(monkeypatch):
+    fixed_bounds(monkeypatch, 6, 14)
     recs = [
         fake_record(L=5, trial=0),
         fake_record(L=10, trial=1),
         fake_record(L=15, trial=2),
         fake_record(L=99, trial=3, censored=True),
     ]
-    (row,) = aggregate(recs, bounds={(100, 0.2): (6, 14)})
+    (row,) = aggregate(recs)
     assert (row["count"], row["censored"]) == (4, 1)
     assert (row["L_mean"], row["L_min"], row["L_max"]) == (10, 5, 15)
     assert (row["lower"], row["upper"]) == (6, 14)
@@ -319,9 +325,10 @@ def test_group_bounds_signed_eps():
     assert lower == theorem_bounds(2000, 3, 1, 0.4, delta=0.5)[LOOSE_LOWER]
 
 
-def test_aggregate_all_censored_group_is_nan():
+def test_aggregate_all_censored_group_is_nan(monkeypatch):
+    fixed_bounds(monkeypatch, 0, 1)
     recs = [fake_record(censored=True), fake_record(censored=True, trial=1)]
-    (row,) = aggregate(recs, bounds={(100, 0.2): (0, 1)})
+    (row,) = aggregate(recs)
     assert math.isnan(row["L_mean"]) and math.isnan(row["frac_within"])
     assert row["censored"] == 2
 
@@ -332,9 +339,9 @@ def test_aggregate_rejects_mixed_shapes():
     assert aggregate([]) == []
 
 
-def test_write_summary_csv(tmp_path):
-    rows = aggregate([fake_record(), fake_record(L=7, trial=1)],
-                     bounds={(100, 0.2): (1, 9)})
+def test_write_summary_csv(tmp_path, monkeypatch):
+    fixed_bounds(monkeypatch, 1, 9)
+    rows = aggregate([fake_record(), fake_record(L=7, trial=1)])
     path = tmp_path / "summary.csv"
     write_summary_csv(rows, path)
     with open(path, newline="") as fh:

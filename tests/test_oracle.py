@@ -19,6 +19,8 @@ from tightpath.oracle import (
     z_ell_bruteforce,
 )
 
+from oracles import edge_sets, relabeled
+
 
 def complete_hypergraph(n, k):
     return ExplicitHypergraph(n, k, combinations(range(n), k))
@@ -80,7 +82,7 @@ def test_longest_path_on_a_bare_chain():
         H, path = chain_hypergraph(path_vertex_count(k, j, ell) + 2, k, j, ell)
         res = longest_path_exact(H, j)
         assert res.length == ell
-        assert res.witness.edge_sets() == path.edge_sets()
+        assert edge_sets(res.witness) == edge_sets(path)
 
 
 def test_longest_path_complete_small():
@@ -95,7 +97,7 @@ def test_witness_is_a_path_in_the_instance():
         H = generate_explicit(9, 3, 0.25, seed=seed)
         res = longest_path_exact(H, 2)
         assert res.witness.ell == res.length
-        assert res.witness.edge_sets() <= {frozenset(e) for e in H.edges}
+        assert edge_sets(res.witness) <= {frozenset(e) for e in H.edges}
 
 
 def test_dfs_and_levels_agree():
@@ -103,11 +105,11 @@ def test_dfs_and_levels_agree():
     for k, n, p, seeds in [(2, 14, 0.15, 10), (3, 10, 0.2, 30), (4, 9, 0.1, 10), (5, 9, 0.06, 6)]:
         for seed in range(seeds):
             H = generate_explicit(n, k, p, seed=seed)
-            a = longest_path_exact(H, k - 1, method="dfs")
-            b = longest_path_exact(H, k - 1, method="levels")
+            a = oracle._longest_path_dfs(H, k - 1, 5_000_000)
+            b = oracle._longest_path_levels(H, k - 1, 5_000_000)
             assert a.length == b.length
             assert not a.censored and not b.censored
-            assert b.witness.edge_sets() <= {frozenset(e) for e in H.edges}
+            assert edge_sets(b.witness) <= {frozenset(e) for e in H.edges}
 
 
 # (length, nodes, censored, witness) of the levels oracle, recorded before its
@@ -153,7 +155,7 @@ PIN_INSTANCES = {
 
 def test_levels_oracle_outputs_are_pinned():
     for (k, kind, budget), want in LEVELS_PINS.items():
-        res = longest_path_exact(PIN_INSTANCES[k, kind](), k - 1, node_budget=budget, method="levels")
+        res = oracle._longest_path_levels(PIN_INSTANCES[k, kind](), k - 1, budget)
         got = (res.length, res.nodes, res.censored, tuple(res.witness.vertices))
         assert got == want, (k, kind, budget)
 
@@ -168,7 +170,7 @@ def test_dfs_oracle_outputs_are_pinned():
         (11, 5, 3, 0.03, 20, 1000): (4, 1001, True, (6, 9, 5, 8, 0, 3, 1, 2, 7, 4, 10)),
     }.items():
         H = generate_explicit(n, k, p, seed=seed)
-        res = longest_path_exact(H, j, node_budget=budget, method="dfs")
+        res = oracle._longest_path_dfs(H, j, budget)
         assert (res.length, res.nodes, res.censored, tuple(res.witness.vertices)) == want
 
 
@@ -176,10 +178,10 @@ def test_dfs_oracle_outputs_are_pinned():
 def test_censored_dfs_counts_the_tripping_node_only(n, k, j, p, seed):
     """A censored DFS run stops at its first attempt past the budget."""
     H = generate_explicit(n, k, p, seed=seed)
-    full = longest_path_exact(H, j, node_budget=10**7, method="dfs")
+    full = oracle._longest_path_dfs(H, j, 10**7)
     assert not full.censored and full.nodes > 100
     for budget in [*range(0, full.nodes, full.nodes // 40), full.nodes - 1, full.nodes]:
-        res = longest_path_exact(H, j, node_budget=budget, method="dfs")
+        res = oracle._longest_path_dfs(H, j, budget)
         assert res.censored == (budget < full.nodes), budget
         assert res.nodes == (budget + 1 if res.censored else full.nodes), budget
         assert res.length <= full.length
@@ -196,8 +198,8 @@ def test_dfs_and_class_counts_depend_on_the_edge_set_alone(tmp_path, n, k, j, p,
                 ExplicitHypergraph(n, k, np.array(shuffled)),
                 ExplicitHypergraph.read_text(str(tmp_path / "h.txt"))]
     for budget in (500, 10**7):
-        want = longest_path_exact(H, j, node_budget=budget, method="dfs")
-        assert all(longest_path_exact(V, j, node_budget=budget, method="dfs") == want for V in variants)
+        want = oracle._longest_path_dfs(H, j, budget)
+        assert all(oracle._longest_path_dfs(V, j, budget) == want for V in variants)
     for ell in (1, 2, 3):
         want = enumerate_path_classes(H, j, ell)
         assert all(enumerate_path_classes(V, j, ell) == want for V in variants)
@@ -221,23 +223,13 @@ def test_exact_optimum_is_monotone_in_p(k, j, n):
     assert grew
 
 
-def test_method_validation():
-    H = generate_explicit(8, 3, 0.3, seed=0)
-    with pytest.raises(ValueError):
-        longest_path_exact(H, 1, method="levels")  # k-j == 2
-    with pytest.raises(ValueError):
-        longest_path_exact(H, 2, method="bogus")
-
-
 def test_levels_oracle_refuses_vertices_past_int32():
     """At n >= 2**31 the levels oracle's int32 vertex columns would wrap, so
-    auto falls back to the DFS and a forced "levels" raises."""
+    longest_path_exact runs the DFS there even though k-j == 1."""
     n = 3 * 10**9
     H = ExplicitHypergraph(n, 2, [(0, 5), (5, n - 1)])
     res = longest_path_exact(H, 1)
     assert (res.length, res.witness.vertices, res.censored) == (2, (0, 5, n - 1), False)
-    with pytest.raises(ValueError, match="int32 vertex columns"):
-        longest_path_exact(H, 1, method="levels")
 
 
 def test_node_budget_censors():
@@ -252,18 +244,18 @@ def test_node_budget_censors():
 
 def test_negative_node_budget_is_refused():
     H = generate_explicit(8, 3, 0.5, seed=1)
-    for method in ("dfs", "levels"):
+    for j in (1, 2):  # the DFS, then the levels oracle
         with pytest.raises(ValueError, match="node_budget"):
-            longest_path_exact(H, 2, node_budget=-1, method=method)
+            longest_path_exact(H, j, node_budget=-1)
 
 
 def test_censored_levels_run_counts_level_one_whole():
     # level 1 holds 138 nodes here; every smaller budget still reports them
     H = generate_explicit(8, 3, 0.5, seed=1)
     for budget in range(138):
-        res = longest_path_exact(H, 2, node_budget=budget, method="levels")
+        res = oracle._longest_path_levels(H, 2, budget)
         assert (res.censored, res.nodes) == (True, 138), budget
-    full = longest_path_exact(H, 2, method="levels")
+    full = oracle._longest_path_levels(H, 2, 5_000_000)
     assert not full.censored and full.nodes > 138
 
 
@@ -286,7 +278,7 @@ def test_levels_oracle_counts_the_entry_it_skips(monkeypatch, block, k, n):
     at each position of its group. Its completion is never fresh and is
     skipped, but every row still counts all n - j completions as nodes."""
     monkeypatch.setattr(oracle, "BLOCK", block)
-    res = longest_path_exact(complete_hypergraph(n, k), k - 1, method="levels")
+    res = oracle._longest_path_levels(complete_hypergraph(n, k), k - 1, 5_000_000)
     nodes = math.perm(n, k) + (n - k + 1) * sum(math.perm(n, v) for v in range(k, n + 1))
     assert (res.length, res.nodes, res.censored) == (n - k + 1, nodes, False)
     assert res.witness.ell == res.length and sorted(res.witness.vertices) == list(range(n))
@@ -299,7 +291,7 @@ def test_levels_oracle_memory_follows_its_rows(traced_peak, n):
     source row of one BLOCK-row slice: no index array is sized by a level's
     candidates."""
     H = sample_explicit(n, 3, 0.7 * threshold_p0(n, 3, 2), seed=7)
-    res, peak = traced_peak(longest_path_exact, H, 2, 5_000_000, "levels")
+    res, peak = traced_peak(oracle._longest_path_levels, H, 2, 5_000_000)
     assert not res.censored and res.nodes > 6 * H.edge_count
     assert peak <= 64 * 6 * H.edge_count + 64 * BLOCK, peak / (6 * H.edge_count)
 
@@ -308,7 +300,7 @@ def test_longest_path_relabel_invariant():
     perm = [5, 9, 0, 7, 3, 8, 1, 6, 2, 4]
     for seed in range(5):
         H = generate_explicit(10, 3, 0.15, seed=seed)
-        assert longest_path_exact(H, 2).length == longest_path_exact(H.relabeled(perm), 2).length
+        assert longest_path_exact(H, 2).length == longest_path_exact(relabeled(H, perm), 2).length
 
 
 def test_class_counts_length_zero():

@@ -864,17 +864,19 @@ def test_auto_generic_and_checked_runs_agree(case):
     assert summary_no_ms(a) == summary_no_ms(c)
 
 
-def test_audit_mode_agrees_with_scan_order():
-    for seed in range(3):
-        H = generate_explicit(10, 3, 0.15, seed=seed)
-        tr = run(H, 3, 2, seed=seed, audit=True)
-        assert tr.stop_reason == "exhausted"
-    for n, k, j, p in [(12, 5, 2, 0.05), (11, 3, 1, 0.05), (9, 4, 2, 0.06),
-                       (8, 4, 3, 0.3), (8, 5, 3, 0.15)]:
-        H = generate_explicit(n, k, p, seed=1)
-        tr = run(H, k, j, seed=1, audit=True)
-        assert tr.stop_reason == "exhausted"
-        assert tr.positives > 0 and tr.explored > 1
+def test_full_traces_agree_with_scan_order():
+    """A full trace lists every query, and a full-trace vector scan stores no
+    resume, so it derives each scan afresh: equal traces mean each query came
+    in the generic scan's (priority, K) order, run to exhaustion."""
+    cases = [(10, 3, 2, 0.15, seed) for seed in range(3)]
+    cases += [(n, k, j, p, 1) for n, k, j, p in [(12, 5, 2, 0.05), (11, 3, 1, 0.05), (9, 4, 2, 0.06),
+                                                 (8, 4, 3, 0.3), (8, 5, 3, 0.15)]]
+    for n, k, j, p, seed in cases:
+        H = generate_explicit(n, k, p, seed=seed)
+        a, c = (run(H, k, j, seed=seed, mode=m, trace_level="full") for m in ("auto", "checked"))
+        assert a.events == c.events, (n, k, j)
+        assert summary_no_ms(a) == summary_no_ms(c)
+        assert c.stop_reason == "exhausted" and c.positives > 0, (n, k, j)
 
 
 def test_search_never_beats_the_oracle():
