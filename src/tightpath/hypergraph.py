@@ -16,6 +16,11 @@ indices, the C(n-1, m-1) prefix states and run ends, and a few BLOCK slices.
 Also provides a rank-sampling generator for instances whose k-set space is
 too large to enumerate but whose edge list is small (sparse subcritical
 measurements); its instances are not coin-compatible with the lazy backend.
+sample_explicit keeps the first distinct colex ranks of a keyed stream, each
+rank a hash mod C(n, k) with the hashes of the last partial cycle rejected,
+so its instances are nested in p. Each draw costs one sort and a merge into
+the sorted ranks so far, and the unranked rows are put in lexicographic order
+by one argsort, so ExplicitHypergraph stores them without sorting again.
 And it provides Candidates, the k-sets J u X a search step queries from one
 j-set J, laid out so that their coins and priorities hash shared prefixes
 once and the rows under each prefix in cache-sized slices; the lazy backend's
@@ -59,21 +64,30 @@ def _check_canonical(K: Sequence[int], k: int, n: int) -> None:
     raise ValueError(f"vertex set must be strictly increasing: {K}")
 
 
+def _comb_table(n: int, i: int) -> np.ndarray:
+    """C(c, i) for c = 0 .. n, as int64."""
+    return np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)
+
+
 def unrank_colex(ranks: np.ndarray, m: int, n: int) -> np.ndarray:
     """Map colex ranks to sorted m-sets over [0, n); returns shape (len, m).
 
-    The m-set {c_1 < ... < c_m} has colex rank sum_i C(c_i, i). Ranks are
-    unranked in slices of BLOCK rows, so beyond its output it holds O(BLOCK).
+    The m-set {c_1 < ... < c_m} has colex rank sum_i C(c_i, i). Columns m
+    down to 2 are each a search for the largest c with C(c, i) within what
+    remains of the rank; column 1 is the remainder itself, since C(c, 1) = c.
+    Ranks are unranked in slices of BLOCK rows, so beyond its output it
+    holds O(BLOCK).
     """
     ranks = np.asarray(ranks)
     cols = np.empty((ranks.shape[0], m), dtype=np.int64)
-    tables = [np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64) for i in range(m + 1)]
+    tables = {i: _comb_table(n, i) for i in range(2, m + 1)}
     for r0 in range(0, len(ranks), BLOCK):
         rem = ranks[r0 : r0 + BLOCK].astype(np.int64)
-        for i in range(m, 0, -1):  # tables[i][c] = C(c, i)
+        for i in range(m, 1, -1):
             c = np.searchsorted(tables[i], rem, side="right") - 1
             cols[r0 : r0 + BLOCK, i - 1] = c
             rem -= tables[i][c]
+        cols[r0 : r0 + BLOCK, 0] = rem
     return cols
 
 
@@ -558,6 +572,62 @@ def _sampled_edge_count(total: int, p: float, seed: int) -> int:
     return _binom_quantile(u, total, p)
 
 
+def _draw_ranks(key: int, total: int, lo: int, size: int) -> np.ndarray:
+    """The ranks in [0, total) of draws lo .. lo+size-1 of the keyed stream,
+    as int64 in draw order. Draw i is h = chain64(key, (i,)) and gives rank
+    h mod total, unless h >= 2^64 - (2^64 mod total): those few hashes are
+    rejected, so every rank has exactly floor(2^64 / total) hashes."""
+    h = chain64_np(key, [np.arange(lo, lo + size, dtype=np.uint64)])
+    limit = (1 << 64) - (1 << 64) % total
+    if limit <= MASK64:
+        high = h >= np.uint64(limit)
+        h = h[~high] if high.any() else h
+    return np.remainder(h, np.uint64(total), out=h).view(np.int64)
+
+
+def _distinct_ranks(key: int, total: int, count: int) -> np.ndarray:
+    """The first ``count`` distinct ranks of ``_draw_ranks``' stream, sorted.
+
+    The stream is drawn ``count`` less the ranks chosen so far at a time, at
+    least 1024: each draw is sorted once, its repeats and the ranks already
+    chosen dropped, and the rest merged into the sorted ranks so far. Only a
+    draw longer than what is still needed can hold more new ranks than that;
+    it keeps the ones that came first.
+    """
+    chosen = np.empty(0, dtype=np.int64)
+    cursor = 0
+    while len(chosen) < count:
+        need = count - len(chosen)
+        size = max(need, 1024)
+        ranks = _draw_ranks(key, total, cursor, size)
+        cursor += size
+        if size > need:  # first occurrences, in case there are more new ranks than needed
+            ranks, first = np.unique(ranks, return_index=True)
+        else:
+            ranks.sort()
+            ranks = ranks[np.r_[True, ranks[1:] != ranks[:-1]]]
+        at = np.searchsorted(chosen, ranks)
+        new = chosen[np.minimum(at, len(chosen) - 1)] != ranks if len(chosen) else slice(None)
+        ranks, at = ranks[new], at[new]
+        if len(ranks) > need:
+            keep = np.sort(np.argsort(first[new])[:need])
+            ranks, at = ranks[keep], at[keep]
+        chosen = np.insert(chosen, at, ranks)
+    return chosen
+
+
+def _lex_order(rows: np.ndarray, n: int) -> np.ndarray:
+    """The permutation that puts distinct sorted k-set rows over [0, n) in
+    lexicographic order: the argsort of their lexicographic indices. A row's
+    index is C(n, k) - 1 less the colex rank of its mirror image {n-1-v},
+    whose i-th least vertex is n-1 less the row's i-th greatest."""
+    k = rows.shape[1]
+    idx = np.full(len(rows), math.comb(n, k) - 1, dtype=np.int64)
+    for i in range(1, k + 1):
+        idx -= np.take(_comb_table(n, i), np.subtract(n - 1, rows[:, k - i]))
+    return np.argsort(idx)
+
+
 def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
     """Draw H^k(n,p) by sampling its edge count and then distinct edge ranks.
 
@@ -571,6 +641,14 @@ def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
     in float64 over pmf ratios in a window of 20 sd (plus 20) either side of
     the mode, with correctly rounded sums wherever u falls within 1e-9 of a
     step. Counts above MATERIALIZE_CAP raise ValueError.
+
+    The edges are the k-sets whose colex ranks are the first ``count``
+    distinct ranks of a stream keyed by ``seed`` alone (``_draw_ranks``,
+    which rejects the hashes that would favour low ranks). Neither the
+    stream nor u depends on p, and the count does not fall as p rises, so
+    one seed's instances are nested in p (``_distinct_ranks`` says how the
+    stream is drawn). The rows are handed to ExplicitHypergraph already in
+    lexicographic order, so it stores them without a sort.
     """
     check_probability(p)
     total = math.comb(n, k)
@@ -580,16 +658,6 @@ def sample_explicit(n: int, k: int, p: float, seed: int) -> ExplicitHypergraph:
     if count > MATERIALIZE_CAP:
         raise ValueError(f"sampled edge count {count} too large to materialize")
 
-    rank_key = derive_key(seed, "edge-ranks")
-    chosen = np.empty(0, dtype=np.int64)
-    cursor = 0
-    while len(chosen) < count:
-        need = max(count - len(chosen), 1024)
-        idx = np.arange(cursor, cursor + 2 * need, dtype=np.uint64)
-        cursor += 2 * need
-        ranks = (chain64_np(rank_key, [idx]) % np.uint64(total)).astype(np.int64)
-        pool = np.concatenate([chosen, ranks])
-        uniq, first = np.unique(pool, return_index=True)
-        chosen = uniq[np.argsort(first)]  # first-occurrence order, deterministic
-    chosen = np.sort(chosen[:count])
-    return ExplicitHypergraph(n, k, unrank_colex(chosen, k, n))
+    rows = unrank_colex(_distinct_ranks(derive_key(seed, "edge-ranks"), total, count), k, n)
+    rows = rows[_lex_order(rows, n)]
+    return ExplicitHypergraph(n, k, rows)

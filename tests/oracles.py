@@ -9,7 +9,9 @@ read the engine's private state (``_scalar_order``, ``_q4_dead``,
 ``_explore_top``), which is why they live beside the tests and not in the
 package. ``partition_path`` splits a path into the paper's canonical blocks,
 ``edge_sets`` gives a path's edges as sets, and ``relabeled`` permutes an
-instance's vertices: no run needs them.
+instance's vertices: no run needs them. ``sampled_edges_reference`` is
+``sample_explicit``'s edge array as its first rank loop built it, the
+reference for the faster loop it has now.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from tightpath._rng import chain64_np, derive_key
 from tightpath.combinatorics import JTightPath, structural_params
-from tightpath.hypergraph import ExplicitHypergraph
+from tightpath.hypergraph import ExplicitHypergraph, _sampled_edge_count, unrank_colex
 from tightpath.pathfinder import PathFinder, RunTrace
 
 
@@ -148,6 +151,28 @@ def edge_sets(path: JTightPath) -> set[frozenset[int]]:
 
 def relabeled(H: ExplicitHypergraph, perm: Sequence[int]) -> ExplicitHypergraph:
     return ExplicitHypergraph(H.n, H.k, np.sort(np.asarray(perm)[H.edge_array()], axis=1))
+
+
+def sampled_edges_reference(n: int, k: int, p: float, seed: int) -> np.ndarray:
+    """sample_explicit(n, k, p, seed).edge_array() by the rank loop it first
+    had: draws of twice what is still needed, one ``np.unique`` over all the
+    ranks so far each, and ranks h mod C(n, k) with no hash rejected. The
+    two agree wherever no draw reaches the rejection limit."""
+    total = math.comb(n, k)
+    count = max(0, min(_sampled_edge_count(total, p, seed), total))
+    rank_key = derive_key(seed, "edge-ranks")
+    chosen = np.empty(0, dtype=np.int64)
+    cursor = 0
+    while len(chosen) < count:
+        need = max(count - len(chosen), 1024)
+        idx = np.arange(cursor, cursor + 2 * need, dtype=np.uint64)
+        cursor += 2 * need
+        ranks = (chain64_np(rank_key, [idx]) % np.uint64(total)).astype(np.int64)
+        pool = np.concatenate([chosen, ranks])
+        uniq, first = np.unique(pool, return_index=True)
+        chosen = uniq[np.argsort(first)]  # first-occurrence order, deterministic
+    chosen = np.sort(chosen[:count])
+    return ExplicitHypergraph(n, k, unrank_colex(chosen, k, n)).edge_array()
 
 
 class ShortPathError(ValueError):

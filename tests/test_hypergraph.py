@@ -21,6 +21,7 @@ from tightpath.hypergraph import (
     ExplicitHypergraph,
     LazyHypergraph,
     _binom_quantile,
+    _draw_ranks,
     _sampled_edge_count,
     generate_explicit,
     pack_rows,
@@ -29,7 +30,7 @@ from tightpath.hypergraph import (
     unrank_colex,
 )
 
-from oracles import relabeled
+from oracles import relabeled, sampled_edges_reference
 
 
 def all_ksets(n, k):
@@ -319,6 +320,19 @@ def test_unrank_colex_holds_a_few_slices_beyond_its_output(traced_peak):
         assert peak - cols.nbytes <= 32 * BLOCK + 16 * (m + 1) * (n + 1), (size, peak - cols.nbytes)
 
 
+@pytest.mark.parametrize("m", [1, 2, "n"])
+def test_unrank_colex_is_exhaustively_right_where_the_last_column_is_the_remainder(m):
+    """Column 1 is what remains of the rank (C(c, 1) = c), not a search:
+    every rank of every m-set, for m = 1 (that column alone), m = 2 (one
+    search before it) and m = n (the one set, rank 0)."""
+    for n in range(2, 12):
+        size = n if m == "n" else m
+        expected = sorted(itertools.combinations(range(n), size), key=lambda t: t[::-1])
+        got = unrank_colex(np.arange(math.comb(n, size)), size, n)
+        assert got.dtype == np.int64 and got.shape == (len(expected), size)
+        assert [tuple(row) for row in got.tolist()] == expected, (n, size)
+
+
 @pytest.mark.parametrize("block", [5, 64, None])
 @pytest.mark.parametrize("n, k", [(13, 2), (13, 3), (10, 4), (9, 5)])
 def test_generate_explicit_chunks_keep_exactly_the_lazy_coins(monkeypatch, n, k, block):
@@ -349,6 +363,78 @@ def test_sample_explicit_valid_and_deterministic():
     assert (H1.n, H1.k) == (40, 3)
     H3 = sample_explicit(40, 3, 0.01, seed=7)
     assert H3.edges != H1.edges  # 9880 coins, p=.01: collision essentially impossible
+
+
+# (n, k, p, seed): sparse and dense (p >= 0.5) for k = 2..5, p = 0 and p = 1,
+# and (40, 3, 0.3, 1), whose last draw is the 1024-row floor and holds more
+# new ranks than it needs.
+SAMPLED_CASES = [
+    (400, 2, 0.002, 1), (30, 2, 0.5, 3), (600, 3, 0.7 * threshold_p0(600, 3, 2), 1),
+    (40, 3, 0.6, 2), (60, 4, 1e-3, 7), (12, 4, 0.7, 4), (30, 5, 2e-3, 1), (14, 5, 0.5, 5),
+    (9, 3, 0.0, 1), (9, 3, 1.0, 1), (8, 4, 1.0, 2), (40, 3, 0.3, 1),
+]
+
+
+@pytest.mark.parametrize("n, k, p, seed", SAMPLED_CASES)
+def test_sample_explicit_draws_the_reference_edges_and_hands_them_over_sorted(
+        monkeypatch, n, k, p, seed):
+    """The edges are the reference loop's, ``np.unique`` sees at most the
+    1024-row floor, and the rows arrive in lexicographic order, so
+    ExplicitHypergraph never lexsorts them."""
+    import tightpath.hypergraph as hg
+
+    draws, unique_rows = [], []
+    monkeypatch.setattr(hg, "_draw_ranks", lambda *a: draws.append(_draw_ranks(*a)) or draws[-1])
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: unique_rows.append(len(a)) or unique(a, **kw))
+    monkeypatch.setattr(np, "lexsort", lambda *a: pytest.fail("rows arrived unsorted"))
+    got = sample_explicit(n, k, p, seed=seed).edge_array()
+    monkeypatch.undo()
+    assert np.array_equal(got, sampled_edges_reference(n, k, p, seed))
+    assert all(size <= 1024 for size in unique_rows)
+    if (n, k, p, seed) == (40, 3, 0.3, 1):
+        assert len(draws) >= 2 and len(draws[-1]) == 1024
+        assert len(np.unique(np.concatenate(draws))) > len(got)
+
+
+def test_rank_draws_reject_the_hashes_above_the_last_whole_cycle():
+    """At C = 7 * 2^59, 2^64 mod C = 2^61: draws with h >= 2^64 - 2^61, one
+    in 8, are dropped. Without that, ranks below 2^61 would have 5 hashes
+    each against 4 and make up 5/8 of the draws, not 4/7."""
+    total, size, key = 7 << 59, 20_000, 0x5EED
+    limit = (1 << 64) - (1 << 61)
+    assert (1 << 64) % total == 1 << 61
+    hashes = [chain64(key, (i,)) for i in range(100, 100 + size)]
+    want = [h % total for h in hashes if h < limit]
+    got = _draw_ranks(key, total, 100, size)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert abs(len(want) / size - 7 / 8) < 5 * math.sqrt(7 / 64 / size)
+    low = np.count_nonzero(got < 1 << 61) / len(got)
+    assert abs(low - 4 / 7) < 5 * math.sqrt(12 / 49 / len(got))
+    # 2^64 mod 2^40 = 0: no hash is rejected
+    assert _draw_ranks(key, 1 << 40, 0, 5000).tolist() == [
+        chain64(key, (i,)) % (1 << 40) for i in range(5000)]
+
+
+def test_sample_explicit_instances_are_nested_in_p():
+    """One seed's edges at p1 < p2 are a subset of its edges at p2: both are
+    the first distinct ranks of one stream, and the count rises with p."""
+    for n, k, ps in [(600, 3, [c * threshold_p0(600, 3, 2) for c in (0.3, 0.7, 1.0, 1.5)]),
+                     (40, 3, [0.05, 0.3, 0.6, 0.95, 1.0]), (20, 4, [0.0, 0.2, 0.5])]:
+        for seed in range(5):
+            edges = [sample_explicit(n, k, p, seed=seed).edges for p in ps]
+            assert all(a <= b for a, b in zip(edges, edges[1:])), (n, k, seed)
+
+
+def test_sample_explicit_holds_under_120_bytes_per_edge_beyond_its_rows(traced_peak):
+    """tracemalloc's peak over one subcritical-oracle instance (about 42 000
+    edges), less the stored rows: the draws, the ranks, the unranked rows
+    and their lexicographic order, and no draw of twice the edge count. The
+    earlier loop read 169 B per edge."""
+    p = 0.7 * threshold_p0(600, 3, 2)
+    H, peak = traced_peak(sample_explicit, 600, 3, p, 1)
+    per_edge = (peak - H.edge_array().nbytes) / H.edge_count
+    assert H.edge_count > 40_000 and per_edge <= 120, per_edge
 
 
 def test_sample_explicit_extremes():
